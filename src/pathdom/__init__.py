@@ -21,6 +21,7 @@ from .domination import (
     minimum_dominating_set,
     minimum_dominating_sets,
     private_neighbors,
+    shares_minimum_set,
 )
 from .families import (
     FamilySpec,

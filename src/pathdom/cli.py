@@ -259,6 +259,8 @@ def _cmd_verify(args) -> int:
     suites = args.suite or ["all"]
     report = run_verification(spec, suites,
                               max_counterexamples=args.max_counterexamples)
+    if not any(st["graphs"] for st in report.suite_stats.values()):
+        raise ValueError("the corpus holds no graph, so nothing was verified")
     if args.json == "-":
         print(report.to_json())
     else:

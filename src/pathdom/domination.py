@@ -5,7 +5,10 @@ branches on the undominated vertex with the fewest remaining candidate
 dominators (ties to the smallest label), seeds the incumbent with a
 greedy cover, and prunes with the coverage lower bound
 ceil(undominated / best-possible-coverage).  Results are exact and
-deterministic, including the witness sets.
+deterministic, including the witness sets.  The same search answers
+constrained queries (forced and forbidden vertices), vertex deletions
+without relabeling, and independent domination; ``shares_minimum_set``
+is the pair relation behind the minimum-set shape predicates.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, bits, delete_vertices, mask_of, set_of
+from .graphs import Graph, bits, mask_of, set_of
 
 __all__ = [
     "DominationReport",
@@ -21,6 +24,7 @@ __all__ = [
     "domination_number",
     "minimum_dominating_set",
     "constrained_domination_number",
+    "shares_minimum_set",
     "minimum_dominating_sets",
     "independent_domination_number",
     "private_neighbors",
@@ -68,12 +72,23 @@ def _checked_mask(g: Graph, vertices: Iterable[int]) -> int:
     return m
 
 
-def _solve(closed: tuple[int, ...], n: int, include: int = 0, exclude: int = 0):
-    """Minimum dominating set containing ``include`` and avoiding ``exclude``.
+def _solve(
+    closed: tuple[int, ...],
+    n: int,
+    include: int = 0,
+    exclude: int = 0,
+    drop: int = 0,
+    conflict: tuple[int, ...] | None = None,
+):
+    """Minimum dominating set of the graph minus ``drop`` that contains
+    ``include`` and avoids ``exclude``.
 
+    Dropped vertices are neither candidates nor need to be dominated.
+    With ``conflict``, choosing a vertex c also rules out every vertex of
+    ``conflict[c]`` (``conflict=nbr`` asks for an independent set).
     Returns (size, mask) or None when no such set exists.
     """
-    full = (1 << n) - 1
+    full = (1 << n) - 1 & ~drop
     dominated = 0
     for v in bits(include):
         dominated |= closed[v]
@@ -85,19 +100,23 @@ def _solve(closed: tuple[int, ...], n: int, include: int = 0, exclude: int = 0):
             return None
 
     # greedy incumbent: repeatedly take the allowed vertex covering the most
-    best_mask = include
-    dom = dominated
-    avail = allowed
-    while dom != full:
+    best = [n + 1, None]
+    mask, avail = include, allowed
+    while undom:
         pick, pickcov = -1, 0
         for c in bits(avail):
-            cov = (closed[c] & ~dom).bit_count()
+            cov = (closed[c] & undom).bit_count()
             if cov > pickcov:
                 pick, pickcov = c, cov
-        best_mask |= 1 << pick
-        dom |= closed[pick]
+        if pick < 0:  # conflicts stranded a vertex: no incumbent
+            break
+        mask |= 1 << pick
+        undom &= ~closed[pick]
         avail &= ~(1 << pick)
-    best = [best_mask.bit_count(), best_mask]
+        if conflict:
+            avail &= ~conflict[pick]
+    else:
+        best = [mask.bit_count(), mask]
 
     def rec(size: int, mask: int, dominated: int, allowed: int) -> None:
         undom = full & ~dominated
@@ -126,10 +145,11 @@ def _solve(closed: tuple[int, ...], n: int, include: int = 0, exclude: int = 0):
         for c in bits(closed[w] & allowed):
             cbit = 1 << c
             rem &= ~cbit
-            rec(size + 1, mask | cbit, dominated | closed[c], rem)
+            rec(size + 1, mask | cbit, dominated | closed[c],
+                rem & ~conflict[c] if conflict else rem)
 
     rec(include.bit_count(), include, dominated, allowed)
-    return best[0], best[1]
+    return None if best[1] is None else (best[0], best[1])
 
 
 @lru_cache(maxsize=None)
@@ -148,93 +168,57 @@ def minimum_dominating_set(g: Graph) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _constrained(g: Graph, include: int, exclude: int):
+def _constrained(g: Graph, include: int, exclude: int, drop: int):
     if include & exclude:
         raise ValueError("include and exclude overlap")
-    res = _solve(g.closed, g.n, include, exclude)
+    if include & drop:
+        raise ValueError("include and delete overlap")
+    res = _solve(g.closed, g.n, include, exclude, drop)
     return None if res is None else res[0]
 
 
 def constrained_domination_number(
-    g: Graph, include: Iterable[int] = (), exclude: Iterable[int] = ()
+    g: Graph,
+    include: Iterable[int] = (),
+    exclude: Iterable[int] = (),
+    delete: Iterable[int] = (),
 ) -> int | None:
-    """Minimum size of a dominating set forced to contain ``include`` and
-    avoid ``exclude``; None when no such set exists (infeasible queries are
-    ordinary data, not errors)."""
-    return _constrained(g, _checked_mask(g, include), _checked_mask(g, exclude))
+    """Minimum size of a dominating set of g minus ``delete`` forced to
+    contain ``include`` and avoid ``exclude``; None when no such set exists
+    (infeasible queries are ordinary data, not errors).  Labels stay those
+    of g: the deleted vertices are simply ignored, never relabeled."""
+    return _constrained(
+        g, _checked_mask(g, include), _checked_mask(g, exclude), _checked_mask(g, delete)
+    )
 
 
-@lru_cache(maxsize=None)
-def _gamma_set_masks(g: Graph) -> tuple[int, ...]:
+def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
+    """True iff some minimum dominating set contains both u and v."""
+    return constrained_domination_number(g, include=(u, v)) == domination_number(g)
+
+
+def minimum_dominating_sets(g: Graph) -> list[frozenset[int]]:
+    """All minimum dominating sets, lexicographically ordered.
+
+    Brute enumeration of every vertex subset of size gamma: a reference
+    for cross-checks on small graphs, not a query path.
+    """
     gamma = domination_number(g)
     full = (1 << g.n) - 1
-    closed = g.closed
     out = []
     for comb in combinations(range(g.n), gamma):
         dom = 0
         for v in comb:
-            dom |= closed[v]
+            dom |= g.closed[v]
         if dom == full:
-            out.append(mask_of(comb))
-    return tuple(out)
-
-
-def minimum_dominating_sets(g: Graph) -> list[frozenset[int]]:
-    """All minimum dominating sets, lexicographically ordered."""
-    return [set_of(m) for m in _gamma_set_masks(g)]
-
-
-def _solve_independent(nbr: tuple[int, ...], closed: tuple[int, ...], n: int) -> int:
-    """Minimum size of an independent dominating set (always exists)."""
-    full = (1 << n) - 1
-
-    # greedy maximal independent incumbent
-    dom, size, avail = 0, 0, full
-    while dom != full:
-        pick, pickcov = -1, 0
-        for c in bits(avail):
-            cov = (closed[c] & ~dom).bit_count()
-            if cov > pickcov:
-                pick, pickcov = c, cov
-        dom |= closed[pick]
-        avail &= ~closed[pick]
-        size += 1
-    best = [size]
-
-    def rec(size: int, dominated: int, allowed: int) -> None:
-        undom = full & ~dominated
-        if not undom:
-            if size < best[0]:
-                best[0] = size
-            return
-        maxcov = 0
-        for c in bits(allowed):
-            cov = (closed[c] & undom).bit_count()
-            if cov > maxcov:
-                maxcov = cov
-        if not maxcov:
-            return
-        if size + (undom.bit_count() + maxcov - 1) // maxcov >= best[0]:
-            return
-        w, wcount = -1, n + 1
-        for x in bits(undom):
-            cnt = (closed[x] & allowed).bit_count()
-            if cnt < wcount:
-                w, wcount = x, cnt
-        rem = allowed
-        for c in bits(closed[w] & allowed):
-            cbit = 1 << c
-            rem &= ~cbit
-            # chosen vertices must stay pairwise nonadjacent
-            rec(size + 1, dominated | closed[c], rem & ~nbr[c])
-
-    rec(0, 0, full)
-    return best[0]
+            out.append(frozenset(comb))
+    return out
 
 
 @lru_cache(maxsize=None)
 def independent_domination_number(g: Graph) -> int:
-    return _solve_independent(g.nbr, g.closed, g.n)
+    """Minimum size of an independent dominating set (always exists)."""
+    return _solve(g.closed, g.n, conflict=g.nbr)[0]
 
 
 def private_neighbors(g: Graph, x: int, group: Iterable[int]) -> frozenset[int]:
@@ -252,23 +236,12 @@ def private_neighbors(g: Graph, x: int, group: Iterable[int]) -> frozenset[int]:
     return set_of(g.closed[x] & ~others)
 
 
-def _mask_is_independent(g: Graph, m: int) -> bool:
-    return all(g.nbr[v] & m == 0 for v in bits(m))
-
-
 @lru_cache(maxsize=None)
 def classify_vertices(g: Graph) -> DominationReport:
     gamma, witness_mask = _gamma_witness(g)
     # good via constrained search (forcing v in), not via set enumeration
-    good = tuple(
-        _constrained(g, 1 << v, 0) == gamma for v in range(g.n)
-    )
-    deleted_gammas = []
-    for v in range(g.n):
-        h, _ = delete_vertices(g, (v,))
-        deleted_gammas.append(domination_number(h))
-    critical = tuple(dg == gamma - 1 for dg in deleted_gammas)
-    strong = all(_mask_is_independent(g, m) for m in _gamma_set_masks(g))
+    good = tuple(_constrained(g, 1 << v, 0, 0) == gamma for v in range(g.n))
+    critical = tuple(_constrained(g, 0, 0, 1 << v) == gamma - 1 for v in range(g.n))
     return DominationReport(
         gamma=gamma,
         witness=set_of(witness_mask),
@@ -277,38 +250,30 @@ def classify_vertices(g: Graph) -> DominationReport:
         critical=critical,
         critical_vertices=frozenset(v for v in range(g.n) if critical[v]),
         independent_domination_number=independent_domination_number(g),
-        strong_equality=strong,
+        strong_equality=not any(shares_minimum_set(g, u, v) for u, v in g.edges()),
     )
 
 
 def all_minimum_sets_efficient(g: Graph) -> bool:
     """True iff the closed neighborhoods of every minimum dominating set
-    partition the vertex set (no overlaps, full coverage)."""
-    full = (1 << g.n) - 1
-    for m in _gamma_set_masks(g):
-        union, total = 0, 0
-        for v in bits(m):
-            union |= g.closed[v]
-            total += g.closed[v].bit_count()
-        if union != full or total != g.n:
-            return False
-    return True
+    partition the vertex set: no two members have meeting closed
+    neighborhoods."""
+    return not any(
+        shares_minimum_set(g, u, v)
+        for u, v in combinations(range(g.n), 2)
+        if g.closed[u] & g.closed[v]
+    )
 
 
 def all_minimum_sets_cliques(g: Graph) -> bool:
-    """True iff every minimum dominating set induces a complete subgraph."""
-    for m in _gamma_set_masks(g):
-        for v in bits(m):
-            rest = m & ~(1 << v)
-            if g.nbr[v] & rest != rest:
-                return False
-    return True
+    """True iff every minimum dominating set induces a complete subgraph:
+    no nonadjacent pair shares one."""
+    return not any(shares_minimum_set(g, u, v) for u, v in g.non_edges())
 
 
 _CACHED = (
     _gamma_witness,
     _constrained,
-    _gamma_set_masks,
     independent_domination_number,
     classify_vertices,
 )

@@ -109,28 +109,8 @@ class Graph:
     def closed_neighbors(self, v: int) -> frozenset[int]:
         return set_of(self.closed[v])
 
-    def neighborhood_of(self, vertices: Iterable[int]) -> frozenset[int]:
-        """N(A): union of open neighborhoods of the given vertices."""
-        m = 0
-        for v in vertices:
-            m |= self.nbr[v]
-        return set_of(m)
-
-    def closed_neighborhood_of(self, vertices: Iterable[int]) -> frozenset[int]:
-        """N[A]: the vertices of A together with all their neighbors."""
-        m = 0
-        for v in vertices:
-            m |= self.closed[v]
-        return set_of(m)
-
     def degree(self, v: int) -> int:
         return self.nbr[v].bit_count()
-
-    def min_degree(self) -> int:
-        return min((m.bit_count() for m in self.nbr), default=0)
-
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.nbr), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.nbr[u] >> v & 1)

@@ -18,8 +18,9 @@ from .domination import (
     classify_vertices,
     constrained_domination_number,
     domination_number,
+    shares_minimum_set,
 )
-from .graphs import Graph, delete_vertices
+from .graphs import Graph
 from .path_addition import INFINITE, path_addition_profile
 
 __all__ = [
@@ -43,19 +44,14 @@ __all__ = [
 
 
 def _gamma_without(g: Graph, drop: tuple[int, ...]) -> int:
-    h, _ = delete_vertices(g, drop)
-    return domination_number(h)
+    return constrained_domination_number(g, delete=drop)
 
 
 def _good_in_without(g: Graph, vertex: int, removed: int) -> bool:
     """Is ``vertex`` in some minimum dominating set of g - removed?"""
-    h, relabel = delete_vertices(g, (removed,))
-    w = relabel[vertex]
-    return constrained_domination_number(h, include=(w,)) == domination_number(h)
-
-
-def _shares_minimum_set(g: Graph, u: int, v: int) -> bool:
-    return constrained_domination_number(g, include=(u, v)) == domination_number(g)
+    return constrained_domination_number(
+        g, include=(vertex,), delete=(removed,)
+    ) == _gamma_without(g, (removed,))
 
 
 # -- per-pair, per-k predictions ----------------------------------------------
@@ -75,7 +71,7 @@ def predict_adjacent(g: Graph, u: int, v: int, k: int) -> int:
     if k == 1:
         return gamma if rep.good[u] or rep.good[v] else gamma + 1
     # k == 2
-    if rep.critical[u] or rep.critical[v] or _shares_minimum_set(g, u, v):
+    if rep.critical[u] or rep.critical[v] or shares_minimum_set(g, u, v):
         return gamma
     return gamma + 1
 
@@ -98,7 +94,7 @@ def predict_nonadjacent(g: Graph, u: int, v: int, k: int) -> int | None:
     if k == 1:
         return _predict_nonadjacent_k1(g, u, v, gamma, rep)
     if k == 2:
-        if rep.critical[u] or rep.critical[v] or _shares_minimum_set(g, u, v):
+        if rep.critical[u] or rep.critical[v] or shares_minimum_set(g, u, v):
             return gamma
         return gamma + 1
     if k == 3:
@@ -240,7 +236,7 @@ def characterize_aggregates(g: Graph) -> AggregateCharacterization:
             amin = 1
             fired.append("min-adjacent=1:adjacent-bad-pair")
         elif all(
-            rep.critical[u] or rep.critical[v] or _shares_minimum_set(g, u, v)
+            rep.critical[u] or rep.critical[v] or shares_minimum_set(g, u, v)
             for u, v in edges
         ):
             amin = 3
@@ -271,7 +267,7 @@ def _characterize_min_nonadjacent(g, rep, pairs):
             if d_uv >= _gamma_without(g, (v,)) and d_uv >= _gamma_without(g, (u,)):
                 return 1, "min-nonadjacent=1:bad-pair-no-deleted-critical"
     if any(
-        not rep.critical[u] and not rep.critical[v] and not _shares_minimum_set(g, u, v)
+        not rep.critical[u] and not rep.critical[v] and not shares_minimum_set(g, u, v)
         for u, v in pairs
     ):
         return 2, "min-nonadjacent=2:uncovered-noncritical-pair"
@@ -324,7 +320,7 @@ def classify_regions(g: Graph) -> RegionClass:
     in_a = agg.min_adjacent == 3
     rep = classify_vertices(g)
     in_a1 = g.is_vertex_cover(rep.critical_vertices)
-    in_a2 = all(_shares_minimum_set(g, u, v) for u, v in g.edges())
+    in_a2 = all(shares_minimum_set(g, u, v) for u, v in g.edges())
     in_a3 = all(rep.critical)
     if not in_a:
         region = "NotInA"
@@ -354,7 +350,7 @@ def all_nonadjacent_pa_three(g: Graph) -> bool:
     rep = classify_vertices(g)
     if rep.critical_vertices or not all(rep.good):
         return False
-    return all(_shares_minimum_set(g, u, v) for u, v in g.non_edges())
+    return all(shares_minimum_set(g, u, v) for u, v in g.non_edges())
 
 
 # -- sum bounds ----------------------------------------------------------------

@@ -36,6 +36,21 @@ def naive_gamma(g: Graph) -> int:
     raise AssertionError("full vertex set always dominates")
 
 
+def naive_independent_gamma(g: Graph) -> int:
+    """Independent route: the smallest independent dominating subset."""
+    full = (1 << g.n) - 1
+    for size in range(g.n + 1):
+        for comb in combinations(range(g.n), size):
+            if not g.is_independent_set(comb):
+                continue
+            dom = 0
+            for v in comb:
+                dom |= g.closed[v]
+            if dom == full:
+                return size
+    raise AssertionError("a maximal independent set always dominates")
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Permutation search; fine for the tiny fixtures that need it."""
     if g.n != h.n or g.edge_count != h.edge_count:

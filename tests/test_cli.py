@@ -158,6 +158,23 @@ class TestVerify:
         d = json.loads(capsys.readouterr().out)
         assert d["suites"]["chains"]["graphs"] == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mode", "random", "--n", "5", "--p", "1.5", "--count", "3"],
+         ["--mode", "random", "--n", "5", "--count", "-3"],
+         ["--mode", "exhaustive", "--n", "4-3"]],
+    )
+    def test_invalid_or_empty_corpus_is_exit_2(self, argv, capsys):
+        assert main(["verify", *argv, "--suite", "chains"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_empty_file_is_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        assert main(["verify", "--mode", "file", "--file", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "no graph" in captured.err
+
     def test_file_mode_needs_file(self, capsys):
         assert main(["verify", "--mode", "file"]) == 2
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -13,6 +15,7 @@ from pathdom.domination import (
     minimum_dominating_set,
     minimum_dominating_sets,
     private_neighbors,
+    shares_minimum_set,
 )
 from pathdom.families import (
     complete,
@@ -27,7 +30,7 @@ from pathdom.families import (
 )
 from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs
 
-from .conftest import graphs, naive_gamma
+from .conftest import graphs, naive_gamma, naive_independent_gamma
 
 
 class TestIsDominating:
@@ -171,11 +174,15 @@ class TestClassify:
     @given(graphs(max_n=5))
     def test_strong_equality_two_routes(self, g):
         rep = classify_vertices(g)
-        via_edges = all(
-            constrained_domination_number(g, include=[u, v]) > rep.gamma
-            for u, v in g.edges()
-        )
-        assert rep.strong_equality == via_edges
+        brute = all(g.is_independent_set(s) for s in minimum_dominating_sets(g))
+        assert rep.strong_equality == brute
+
+    def test_cycle30_without_set_enumeration(self):
+        # one constrained solve per edge, not a scan of all C(30, 10) subsets
+        rep = classify_vertices(cycle(30))
+        assert rep.gamma == 10
+        assert rep.strong_equality
+        assert rep.critical_vertices == frozenset()
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=5))
@@ -186,7 +193,33 @@ class TestClassify:
             assert rep.independent_domination_number == rep.gamma
 
 
+class TestDeletion:
+    def test_delete_all(self):
+        assert constrained_domination_number(path(3), delete=[0, 1, 2]) == 0
+
+    def test_include_meets_delete_rejected(self):
+        with pytest.raises(ValueError):
+            constrained_domination_number(path(3), include=[1], delete=[1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(min_n=1, max_n=6), st.data())
+    def test_matches_relabeled_subgraph(self, g, data):
+        drop = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3))
+        inc = data.draw(
+            st.sets(st.integers(0, g.n - 1).filter(lambda v: v not in drop), max_size=2)
+        )
+        h, relabel = delete_vertices(g, drop)
+        assert constrained_domination_number(
+            g, include=inc, delete=drop
+        ) == constrained_domination_number(h, include=[relabel[v] for v in inc])
+
+
 class TestIndependentDomination:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_n=6))
+    def test_vs_naive(self, g):
+        assert independent_domination_number(g) == naive_independent_gamma(g)
+
     def test_examples(self):
         assert independent_domination_number(star(4)) == 1
         assert independent_domination_number(cycle(5)) == 2
@@ -230,3 +263,18 @@ class TestSetShapePredicates:
         assert all_minimum_sets_cliques(g)
         assert all_minimum_sets_cliques(complete(5))
         assert not all_minimum_sets_cliques(cycle(6))
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_n=6))
+    def test_predicates_match_enumeration(self, g):
+        sets = minimum_dominating_sets(g)
+        assert all_minimum_sets_cliques(g) == all(g.is_clique(s) for s in sets)
+        efficient = all(sum(g.closed[v].bit_count() for v in s) == g.n for s in sets)
+        assert all_minimum_sets_efficient(g) == efficient
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=2, max_n=6), st.data())
+    def test_shares_minimum_set_matches_enumeration(self, g, data):
+        u, v = data.draw(st.sampled_from(list(combinations(range(g.n), 2))))
+        brute = any(u in s and v in s for s in minimum_dominating_sets(g))
+        assert shares_minimum_set(g, u, v) == brute

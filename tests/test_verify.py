@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pathdom import verify
 from pathdom.families import crown
 from pathdom.formats import emit_graph6, parse_graph6
 from pathdom.verify import (
@@ -34,6 +35,26 @@ class TestCorpus:
     def test_random_connected_filter(self):
         spec = CorpusSpec.random(5, 0.4, 10, seed=1, connected_only=True)
         assert all(g.is_connected() for _, g in iter_corpus(spec))
+
+    @pytest.mark.parametrize(
+        "n, p, count, connected",
+        [(5, 1.5, 3, False), (5, -0.1, 3, False), (5, 0.5, 0, False),
+         (5, 0.5, -3, False), (5, 0.0, 3, True), (-1, 0.5, 3, False)],
+    )
+    def test_random_out_of_range_fails_before_sampling(
+        self, monkeypatch, n, p, count, connected
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the parameters were checked")
+
+        monkeypatch.setattr(verify, "random_graph", no_sampling)
+        spec = CorpusSpec.random(n, p, count, seed=1, connected_only=connected)
+        with pytest.raises(ValueError):
+            next(iter_corpus(spec))
+
+    def test_random_connected_p0_single_vertex(self):
+        spec = CorpusSpec.random(1, 0.0, 2, seed=1, connected_only=True)
+        assert [g.n for _, g in iter_corpus(spec)] == [1, 1]
 
     def test_family_mode(self):
         spec = CorpusSpec.from_families(["crown(3)", "rook(3)"])
@@ -133,6 +154,14 @@ class TestRunner:
         assert report.suite_stats["chains"]["graphs"] == 2
         assert len(report.input_errors) == 1
         assert report.passed
+
+    @pytest.mark.parametrize("text", ["", "# no graphs here\n"])
+    def test_zero_graphs_never_pass(self, tmp_path, text):
+        p = tmp_path / "empty.g6"
+        p.write_text(text)
+        report = run_verification(CorpusSpec.from_file(str(p)), ["chains"])
+        assert report.suite_stats["chains"]["graphs"] == 0
+        assert not report.passed
 
     def test_table_renders(self):
         report = run_verification(CorpusSpec.exhaustive(2), ["chains"])
