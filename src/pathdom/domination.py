@@ -4,8 +4,16 @@ The core solver is a branch-and-bound over adjacency bitmasks: it
 branches on the undominated vertex with the fewest remaining candidate
 dominators (ties to the smallest label), seeds the incumbent with a
 greedy cover, and prunes with the coverage lower bound
-ceil(undominated / best-possible-coverage).  Results are exact and
-deterministic, including the witness sets.  The same search answers
+ceil(undominated / best-possible-coverage).  A node with room for one
+more vertex only (the incumbent is two above its size) is settled
+without branching: the vertices that complete the set are the common
+candidate dominators of its undominated vertices, and the lowest of them
+is the child the search would reach first.  Results are exact and
+deterministic, including the witness sets.  With the branching order
+fixed, the recorded set is the first in search order that beats the
+greedy size, then the first after it that beats that one, and so on; a
+node is cut only when it cannot beat the incumbent, so any admissible
+bound, however computed, yields the same witnesses.  The same search answers
 constrained queries (forced and forbidden vertices), vertex deletions
 without relabeling, and independent domination; ``shares_minimum_set``
 is the pair relation behind the minimum-set shape predicates.
@@ -88,26 +96,37 @@ def _solve(
     ``conflict[c]`` (``conflict=nbr`` asks for an independent set).
     Returns (size, mask) or None when no such set exists.
     """
+    # bit loops are inlined (b = m & -m; ...; m ^= b): this is the hot path
     full = (1 << n) - 1 & ~drop
     dominated = 0
-    for v in bits(include):
-        dominated |= closed[v]
+    m = include
+    while m:
+        b = m & -m
+        dominated |= closed[b.bit_length() - 1]
+        m ^= b
     allowed = full & ~exclude & ~include
 
     undom = full & ~dominated
-    for w in bits(undom):
-        if not closed[w] & allowed:
+    m = undom
+    while m:
+        b = m & -m
+        if not closed[b.bit_length() - 1] & allowed:
             return None
+        m ^= b
 
     # greedy incumbent: repeatedly take the allowed vertex covering the most
     best = [n + 1, None]
     mask, avail = include, allowed
     while undom:
         pick, pickcov = -1, 0
-        for c in bits(avail):
+        m = avail
+        while m:
+            b = m & -m
+            c = b.bit_length() - 1
             cov = (closed[c] & undom).bit_count()
             if cov > pickcov:
                 pick, pickcov = c, cov
+            m ^= b
         if pick < 0:  # conflicts stranded a vertex: no incumbent
             break
         mask |= 1 << pick
@@ -124,12 +143,30 @@ def _solve(
             if size < best[0]:
                 best[0], best[1] = size, mask
             return
+        room = best[0] - size
+        if room <= 1:  # no vertex can be added and still improve
+            return
+        if room == 2:
+            # only a single vertex completing the set improves: the common
+            # dominators of undom; the lowest is DFS's first completing child
+            cand = allowed
+            m = undom
+            while m and cand:
+                b = m & -m
+                cand &= closed[b.bit_length() - 1]
+                m ^= b
+            if cand:
+                best[0], best[1] = size + 1, mask | (cand & -cand)
+            return
         # admissible bound: every added vertex covers at most maxcov new ones
         maxcov = 0
-        for c in bits(allowed):
-            cov = (closed[c] & undom).bit_count()
+        m = allowed
+        while m:
+            b = m & -m
+            cov = (closed[b.bit_length() - 1] & undom).bit_count()
             if cov > maxcov:
                 maxcov = cov
+            m ^= b
         if not maxcov:
             return
         need = (undom.bit_count() + maxcov - 1) // maxcov
@@ -137,16 +174,23 @@ def _solve(
             return
         # branch vertex: undominated with fewest candidate dominators
         w, wcount = -1, n + 1
-        for x in bits(undom):
+        m = undom
+        while m:
+            b = m & -m
+            x = b.bit_length() - 1
             cnt = (closed[x] & allowed).bit_count()
             if cnt < wcount:
                 w, wcount = x, cnt
+            m ^= b
         rem = allowed
-        for c in bits(closed[w] & allowed):
-            cbit = 1 << c
+        m = closed[w] & allowed
+        while m:
+            cbit = m & -m
+            c = cbit.bit_length() - 1
             rem &= ~cbit
             rec(size + 1, mask | cbit, dominated | closed[c],
                 rem & ~conflict[c] if conflict else rem)
+            m ^= cbit
 
     rec(include.bit_count(), include, dominated, allowed)
     return None if best[1] is None else (best[0], best[1])

@@ -52,6 +52,8 @@ WORKERS_ENV = "PATHDOM_WORKERS"
 SCHEMA = "pathdom-verify/1"
 PRNG_NAME = "python-random-mt19937"
 NAIVE_CROSS_CHECK_MAX_N = 6
+# consecutive disconnected draws after which a --connected corpus gives up
+MAX_CONSECUTIVE_REJECTIONS = 10_000
 
 
 # -- corpora -------------------------------------------------------------------
@@ -168,11 +170,19 @@ def iter_corpus(spec: CorpusSpec):
         if spec.connected_only and spec.n >= 2 and spec.edge_probability == 0:
             raise ValueError("p=0 yields no connected graph on 2 or more vertices")
         rng = random.Random(spec.seed)
-        produced = 0
+        produced = rejected = 0
         while produced < spec.count:
             g = random_graph(spec.n, spec.edge_probability, rng)
             if spec.connected_only and not g.is_connected():
+                rejected += 1
+                if rejected >= MAX_CONSECUTIVE_REJECTIONS:
+                    raise ValueError(
+                        f"{rejected} draws in a row at n={spec.n}, "
+                        f"p={spec.edge_probability} were disconnected; "
+                        f"raise p for a connected corpus"
+                    )
                 continue
+            rejected = 0
             yield produced, g
             produced += 1
     elif spec.mode == "file":
@@ -699,7 +709,11 @@ def _eval_graph(args):
     out = []
     for name in names:
         t0 = time.perf_counter()
-        checks, fails = SUITES[name](g)
+        try:
+            checks, fails = SUITES[name](g)
+        except Exception as exc:  # one broken suite must not end the run
+            checks = 0
+            fails = [{"check": "suite-error", "error": f"{type(exc).__name__}: {exc}"}]
         dt = time.perf_counter() - t0
         fails = [_jsonable(f) for f in fails]
         for f in fails:

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 
-from pathdom.graphs import Graph, from_edge_mask
+from pathdom.graphs import Graph, bits, from_edge_mask
 
 
 @st.composite
@@ -64,3 +64,87 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         if all(h.has_edge(p[u], p[v]) for u, v in gedges):
             return True
     return False
+
+
+def reference_solve(
+    closed: tuple[int, ...],
+    n: int,
+    include: int = 0,
+    exclude: int = 0,
+    drop: int = 0,
+    conflict: tuple[int, ...] | None = None,
+):
+    """Test oracle: the search kernel before its bit loops were inlined
+    and before its room-2 shortcut, kept verbatim so that the kernel's
+    sizes and witnesses can be compared exactly.
+
+    Minimum dominating set of the graph minus ``drop`` that contains
+    ``include`` and avoids ``exclude``.
+
+    Dropped vertices are neither candidates nor need to be dominated.
+    With ``conflict``, choosing a vertex c also rules out every vertex of
+    ``conflict[c]`` (``conflict=nbr`` asks for an independent set).
+    Returns (size, mask) or None when no such set exists.
+    """
+    full = (1 << n) - 1 & ~drop
+    dominated = 0
+    for v in bits(include):
+        dominated |= closed[v]
+    allowed = full & ~exclude & ~include
+
+    undom = full & ~dominated
+    for w in bits(undom):
+        if not closed[w] & allowed:
+            return None
+
+    # greedy incumbent: repeatedly take the allowed vertex covering the most
+    best = [n + 1, None]
+    mask, avail = include, allowed
+    while undom:
+        pick, pickcov = -1, 0
+        for c in bits(avail):
+            cov = (closed[c] & undom).bit_count()
+            if cov > pickcov:
+                pick, pickcov = c, cov
+        if pick < 0:  # conflicts stranded a vertex: no incumbent
+            break
+        mask |= 1 << pick
+        undom &= ~closed[pick]
+        avail &= ~(1 << pick)
+        if conflict:
+            avail &= ~conflict[pick]
+    else:
+        best = [mask.bit_count(), mask]
+
+    def rec(size: int, mask: int, dominated: int, allowed: int) -> None:
+        undom = full & ~dominated
+        if not undom:
+            if size < best[0]:
+                best[0], best[1] = size, mask
+            return
+        # admissible bound: every added vertex covers at most maxcov new ones
+        maxcov = 0
+        for c in bits(allowed):
+            cov = (closed[c] & undom).bit_count()
+            if cov > maxcov:
+                maxcov = cov
+        if not maxcov:
+            return
+        need = (undom.bit_count() + maxcov - 1) // maxcov
+        if size + need >= best[0]:
+            return
+        # branch vertex: undominated with fewest candidate dominators
+        w, wcount = -1, n + 1
+        for x in bits(undom):
+            cnt = (closed[x] & allowed).bit_count()
+            if cnt < wcount:
+                w, wcount = x, cnt
+        rem = allowed
+        for c in bits(closed[w] & allowed):
+            cbit = 1 << c
+            rem &= ~cbit
+            rec(size + 1, mask | cbit, dominated | closed[c],
+                rem & ~conflict[c] if conflict else rem)
+
+    rec(include.bit_count(), include, dominated, allowed)
+    return None if best[1] is None else (best[0], best[1])

@@ -162,6 +162,8 @@ class TestVerify:
         "argv",
         [["--mode", "random", "--n", "5", "--p", "1.5", "--count", "3"],
          ["--mode", "random", "--n", "5", "--count", "-3"],
+         ["--mode", "random", "--n", "12", "--p", "0.001", "--connected",
+          "--count", "1"],
          ["--mode", "exhaustive", "--n", "4-3"]],
     )
     def test_invalid_or_empty_corpus_is_exit_2(self, argv, capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pathdom.domination import (
+    _gamma_witness,
+    _solve,
     all_minimum_sets_cliques,
     all_minimum_sets_efficient,
     classify_vertices,
@@ -28,9 +31,11 @@ from pathdom.families import (
     rook,
     star,
 )
-from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs
+from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs, mask_of
+from pathdom.path_addition import add_path
+from pathdom.verify import random_graph
 
-from .conftest import graphs, naive_gamma, naive_independent_gamma
+from .conftest import graphs, naive_gamma, naive_independent_gamma, reference_solve
 
 
 class TestIsDominating:
@@ -278,3 +283,29 @@ class TestSetShapePredicates:
         u, v = data.draw(st.sampled_from(list(combinations(range(g.n), 2))))
         brute = any(u in s and v in s for s in minimum_dominating_sets(g))
         assert shares_minimum_set(g, u, v) == brute
+
+
+class TestKernelMatchesReference:
+    """The kernel returns the reference search's size and witness mask
+    exactly, None included: its shortcuts only cut nodes that cannot beat
+    the incumbent, so the sequence of improvements is the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(min_n=1, max_n=9), st.data())
+    def test_constrained_and_independent(self, g, data):
+        def some(k):
+            return data.draw(st.lists(st.integers(0, g.n - 1), max_size=k).map(mask_of))
+
+        include, exclude, drop = some(2), some(3), some(2)
+        for conflict in (None, g.nbr):
+            assert _solve(g.closed, g.n, include, exclude, drop, conflict) == (
+                reference_solve(g.closed, g.n, include, exclude, drop, conflict)
+            )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_path_addition(self, seed):
+        g = random_graph(10, 0.3, random.Random(seed))
+        for u, v in combinations(range(g.n), 2):
+            for k in range(1, 6):
+                h = add_path(g, u, v, k)
+                assert _gamma_witness(h) == reference_solve(h.closed, h.n)

@@ -56,6 +56,11 @@ class TestCorpus:
         spec = CorpusSpec.random(1, 0.0, 2, seed=1, connected_only=True)
         assert [g.n for _, g in iter_corpus(spec)] == [1, 1]
 
+    def test_connected_with_tiny_p_gives_up(self):
+        spec = CorpusSpec.random(12, 0.001, 1, seed=1, connected_only=True)
+        with pytest.raises(ValueError, match="disconnected"):
+            next(iter_corpus(spec))
+
     def test_family_mode(self):
         spec = CorpusSpec.from_families(["crown(3)", "rook(3)"])
         gs = [g for _, g in iter_corpus(spec)]
@@ -167,6 +172,25 @@ class TestRunner:
         report = run_verification(CorpusSpec.exhaustive(2), ["chains"])
         text = report.table()
         assert "chains" in text and "PASS" in text
+
+    def test_suite_error_is_recorded_and_run_goes_on(self, monkeypatch):
+        seen = []
+
+        def flaky(g):
+            seen.append(g)
+            if len(seen) == 3:
+                raise RuntimeError("boom")
+            return 1, []
+
+        monkeypatch.setitem(SUITES, "chains", flaky)
+        report = run_verification(CorpusSpec.exhaustive(2), ["chains", "subdivision"])
+        assert len(seen) == 4  # the graphs after the error still ran
+        assert report.suite_stats["chains"] == {"graphs": 4, "checks": 3, "failures": 1}
+        assert report.suite_stats["subdivision"]["graphs"] == 4
+        assert not report.passed
+        (ce,) = report.counterexamples
+        assert ce["check"] == "suite-error" and ce["error"] == "RuntimeError: boom"
+        assert ce["suite"] == "chains" and ce["graph6"] == emit_graph6(seen[2])
 
     def test_parallel_matches_sequential(self, monkeypatch):
         spec = CorpusSpec.exhaustive(3)
