@@ -179,10 +179,6 @@ def _cmd_pa(args) -> int:
     return 0
 
 
-def _enc(x):
-    return "inf" if x == float("inf") else x
-
-
 def _cmd_profile(args) -> int:
     for g in _read_graphs(args.file, args.format):
         prof = path_addition_profile(g)
@@ -195,9 +191,9 @@ def _cmd_profile(args) -> int:
         cells = [f"{u}-{v}:{pa}" for (u, v), pa in prof.pairs.items()]
         for i in range(0, len(cells), 8):
             print("  " + "  ".join(cells[i:i + 8]))
-        print(f"adjacent min/max = {_enc(prof.min_adjacent)}/{_enc(prof.max_adjacent)}")
-        print(f"nonadjacent min/max = "
-              f"{_enc(prof.min_nonadjacent)}/{_enc(prof.max_nonadjacent)}")
+        agg = prof.to_json_dict()
+        print(f"adjacent min/max = {agg['min_adjacent']}/{agg['max_adjacent']}")
+        print(f"nonadjacent min/max = {agg['min_nonadjacent']}/{agg['max_nonadjacent']}")
     return 0
 
 
@@ -234,18 +230,25 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return int(lo), int(hi)
-    return 0, int(text)
+    lo, sep, hi = text.strip().partition("-")
+    if not lo.isdecimal() or (sep and not hi.isdecimal()):
+        raise ValueError(f"--n takes N or LO-HI with nonnegative integers, got {text!r}")
+    return (int(lo), int(hi)) if sep else (0, int(lo))
 
 
 def _cmd_verify(args) -> int:
+    if args.max_counterexamples < 0:
+        raise ValueError(
+            f"--max-counterexamples must be >= 0, got {args.max_counterexamples}"
+        )
     if args.mode == "exhaustive":
         n_min, n_max = _parse_n_range(args.n)
         spec = CorpusSpec(mode="exhaustive", n_min=n_min, n_max=n_max,
                           connected_only=args.connected, cap=args.cap)
     elif args.mode == "random":
+        if not args.n.strip().isdecimal():
+            raise ValueError(f"--n takes one nonnegative integer in random mode, "
+                             f"got {args.n!r}")
         spec = CorpusSpec.random(int(args.n), args.p, args.count, args.seed,
                                  connected_only=args.connected)
     elif args.mode == "file":

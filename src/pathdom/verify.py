@@ -6,6 +6,7 @@ that, together with the graph6 string the runner attaches, fully
 reproduce the discrepancy through the single-graph CLI commands.
 """
 
+import functools
 import json
 import os
 import random
@@ -13,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import oracle
 from .domination import (
@@ -29,7 +30,7 @@ from .domination import (
 )
 from .families import generate_family, parse_family_spec
 from .formats import GraphFormatError, detect_format, emit_graph6, load_graphs
-from .graphs import Graph, delete_vertices, enumerate_labeled_graphs, from_edge_mask, subdivide_edge
+from .graphs import Graph, enumerate_labeled_graphs, from_edge_mask, subdivide_edge
 from .path_addition import (
     INFINITE,
     add_path,
@@ -54,6 +55,8 @@ PRNG_NAME = "python-random-mt19937"
 NAIVE_CROSS_CHECK_MAX_N = 6
 # consecutive disconnected draws after which a --connected corpus gives up
 MAX_CONSECUTIVE_REJECTIONS = 10_000
+# corpus graphs handed to the worker pool at a time
+POOL_WINDOW = 512
 
 
 # -- corpora -------------------------------------------------------------------
@@ -230,184 +233,143 @@ def _load_file_corpus_tolerant(spec: CorpusSpec):
 # -- suites --------------------------------------------------------------------
 
 
-def _pairs(n):
-    return combinations(range(n), 2)
+class _Recorder:
+    """Counts a suite's checks and keeps its failure records."""
+
+    def __init__(self):
+        self.checks = 0
+        self.fails = []
+
+    def __call__(self, ok, check, expected, actual, *, pair=None, k=None, clause=None):
+        """Count one check; when it fails, record it with the keys in report
+        order: check, pair, k, expected, actual, clause (absent ones left out)."""
+        self.checks += 1
+        if ok:
+            return
+        rec = {"check": check}
+        if pair is not None:
+            rec["pair"] = list(pair)
+        if k is not None:
+            rec["k"] = k
+        rec["expected"] = expected
+        rec["actual"] = actual
+        if clause is not None:
+            rec["clause"] = clause
+        self.fails.append(rec)
 
 
-def suite_oracle_equivalence(g: Graph):
+def _suite(skip=None):
+    """Turn ``body(g, expect)`` into a suite Graph -> (checks, failures) that
+    makes no check on the graphs ``skip`` selects."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def suite(g: Graph):
+            if skip is not None and skip(g):
+                return 0, []
+            expect = _Recorder()
+            body(g, expect)
+            return expect.checks, expect.fails
+
+        return suite
+
+    return wrap
+
+
+def _tiny(g: Graph) -> bool:
+    """Fewer than two vertices: no pair to glue a path between."""
+    return g.n < 2
+
+
+@_suite(skip=_tiny)
+def suite_oracle_equivalence(g: Graph, expect):
     """Predicted gamma-after-path equals the solver for every pair and every
     covered k, and the predicted pair value equals the scanned one."""
-    if g.n < 2:
-        return 0, []
-    checks, fails = 0, []
     gamma = domination_number(g)
-    for u, v in _pairs(g.n):
-        adjacent = g.has_edge(u, v)
-        ks = (1, 2, 3) if adjacent else (1, 2, 3, 4)
-        predicted = {}
-        for k in ks:
-            predicted[k] = (
-                oracle.predict_adjacent(g, u, v, k)
-                if adjacent
-                else oracle.predict_nonadjacent(g, u, v, k)
-            )
-        if not adjacent and predicted[4] == gamma:
-            predicted[5] = oracle.predict_nonadjacent(g, u, v, 5)
-        for k, pred in predicted.items():
+    for u, v in combinations(range(g.n), 2):
+        pred = oracle.predict_pair(g, u, v)
+        for k, value in pred.gamma_values.items():
+            if value is None:  # the one k the rules leave open
+                continue
             actual = domination_after_path(g, u, v, k)
-            checks += 1
-            if pred != actual:
-                fails.append(
-                    {
-                        "check": "gamma-after-path",
-                        "pair": [u, v],
-                        "k": k,
-                        "expected": actual,
-                        "actual": pred,
-                    }
-                )
-        if not adjacent and predicted[1] == gamma + 1:
+            expect(value == actual, "gamma-after-path", actual, value, pair=(u, v), k=k)
+        if not pred.adjacent and pred.gamma_values[1] == gamma + 1:
             # the first inserted vertex must be critical in the k=1 graph
             h = add_path(g, u, v, 1)
-            checks += 1
-            hh, _ = delete_vertices(h, (g.n,))
-            if not domination_number(hh) < domination_number(h):
-                fails.append(
-                    {
-                        "check": "inserted-vertex-critical",
-                        "pair": [u, v],
-                        "k": 1,
-                        "expected": "critical",
-                        "actual": "not critical",
-                    }
-                )
-        pa_pred = oracle.predict_pair(g, u, v)
-        pa_act = path_addition_number(g, u, v)
-        checks += 1
-        if pa_pred.pa != pa_act:
-            fails.append(
-                {
-                    "check": "path-addition-number",
-                    "pair": [u, v],
-                    "expected": pa_act,
-                    "actual": pa_pred.pa,
-                    "clause": pa_pred.clause,
-                }
-            )
-    return checks, fails
+            expect(constrained_domination_number(h, delete=(g.n,)) < domination_number(h),
+                   "inserted-vertex-critical", "critical", "not critical", pair=(u, v), k=1)
+        pa = path_addition_number(g, u, v)
+        expect(pred.pa == pa, "path-addition-number", pa, pred.pa,
+               pair=(u, v), clause=pred.clause)
 
 
-def suite_adjacent_k3(g: Graph):
+@_suite(skip=_tiny)
+def suite_adjacent_k3(g: Graph, expect):
     """Three inserted vertices between adjacent endpoints always raise gamma by one."""
-    if g.n < 2:
-        return 0, []
-    checks, fails = 0, []
     gamma = domination_number(g)
     for u, v in g.edges():
-        checks += 1
         got = domination_after_path(g, u, v, 3)
-        if got != gamma + 1:
-            fails.append(
-                {"check": "adjacent-k3", "pair": [u, v], "k": 3,
-                 "expected": gamma + 1, "actual": got}
-            )
-    return checks, fails
+        expect(got == gamma + 1, "adjacent-k3", gamma + 1, got, pair=(u, v), k=3)
 
 
-def suite_long_paths(g: Graph):
+@_suite(skip=_tiny)
+def suite_long_paths(g: Graph, expect):
     """Five or more inserted vertices always raise gamma (nonadjacent pairs)."""
-    if g.n < 2:
-        return 0, []
-    checks, fails = 0, []
     gamma = domination_number(g)
     for u, v in g.non_edges():
         for k in (5, 6):
-            checks += 1
             got = domination_after_path(g, u, v, k)
-            if not got > gamma:
-                fails.append(
-                    {"check": "long-path-rise", "pair": [u, v], "k": k,
-                     "expected": f"> {gamma}", "actual": got}
-                )
-    return checks, fails
+            expect(got > gamma, "long-path-rise", f"> {gamma}", got, pair=(u, v), k=k)
 
 
-def suite_chains(g: Graph):
+@_suite(skip=_tiny)
+def suite_chains(g: Graph, expect):
     """The gamma-after-path sequence is nondecreasing in k; k=0 keeps gamma
     for adjacent pairs and loses at most one for nonadjacent ones."""
-    if g.n < 2:
-        return 0, []
-    checks, fails = 0, []
     gamma = domination_number(g)
-    for u, v in _pairs(g.n):
+    for u, v in combinations(range(g.n), 2):
         values = [domination_after_path(g, u, v, k) for k in range(6)]
-        checks += 1
         if g.has_edge(u, v):
             start_ok = values[0] == gamma
         else:
             start_ok = gamma - 1 <= values[0] <= gamma
-        if not start_ok or any(a > b for a, b in zip(values, values[1:])):
-            fails.append(
-                {"check": "chain", "pair": [u, v],
-                 "expected": "nondecreasing with anchored start",
-                 "actual": values}
-            )
-    return checks, fails
+        expect(start_ok and all(a <= b for a, b in zip(values, values[1:])), "chain",
+               "nondecreasing with anchored start", values, pair=(u, v))
 
 
-def suite_aggregate_bounds(g: Graph):
+@_suite(skip=_tiny)
+def suite_aggregate_bounds(g: Graph, expect):
     """Profile aggregates sit inside their documented windows."""
-    if g.n < 2:
-        return 0, []
     prof = path_addition_profile(g)
-    checks, fails = 0, []
-
-    def expect(cond, name, actual):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            fails.append({"check": name, "expected": "within bounds", "actual": actual})
-
-    expect(prof.min_adjacent <= prof.max_adjacent, "min<=max-adjacent",
-           [prof.min_adjacent, prof.max_adjacent])
-    expect(prof.min_nonadjacent <= prof.max_nonadjacent, "min<=max-nonadjacent",
-           [prof.min_nonadjacent, prof.max_nonadjacent])
+    within = "within bounds"
+    adjacent = [prof.min_adjacent, prof.max_adjacent]
+    nonadjacent = [prof.min_nonadjacent, prof.max_nonadjacent]
+    expect(prof.min_adjacent <= prof.max_adjacent, "min<=max-adjacent", within, adjacent)
+    expect(prof.min_nonadjacent <= prof.max_nonadjacent, "min<=max-nonadjacent", within,
+           nonadjacent)
     if g.is_edgeless():
-        expect(prof.min_adjacent == INFINITE and prof.max_adjacent == INFINITE,
-               "edgeless-adjacent-infinite", [prof.min_adjacent, prof.max_adjacent])
+        expect(adjacent == [INFINITE, INFINITE], "edgeless-adjacent-infinite", within,
+               adjacent)
     else:
-        expect(1 <= prof.min_adjacent <= 3, "min-adjacent-window", prof.min_adjacent)
-        expect(2 <= prof.max_adjacent <= 3, "max-adjacent-window", prof.max_adjacent)
+        expect(1 <= prof.min_adjacent <= 3, "min-adjacent-window", within, prof.min_adjacent)
+        expect(2 <= prof.max_adjacent <= 3, "max-adjacent-window", within, prof.max_adjacent)
     if g.is_complete():
-        expect(prof.min_nonadjacent == INFINITE and prof.max_nonadjacent == INFINITE,
-               "complete-nonadjacent-infinite",
-               [prof.min_nonadjacent, prof.max_nonadjacent])
+        expect(nonadjacent == [INFINITE, INFINITE], "complete-nonadjacent-infinite", within,
+               nonadjacent)
     else:
         expect(1 <= prof.min_nonadjacent <= prof.max_nonadjacent <= 5,
-               "nonadjacent-window", [prof.min_nonadjacent, prof.max_nonadjacent])
-    return checks, fails
+               "nonadjacent-window", within, nonadjacent)
 
 
-def suite_aggregate_characterizations(g: Graph):
+@_suite(skip=_tiny)
+def suite_aggregate_characterizations(g: Graph, expect):
     """Closed-form aggregates agree with the solver profile, and the
     individual equivalences behind them hold."""
-    if g.n < 2:
-        return 0, []
-    checks, fails = 0, []
     prof = path_addition_profile(g)
     agg = oracle.characterize_aggregates(g)
-    for name, pred, act in (
-        ("min_adjacent", agg.min_adjacent, prof.min_adjacent),
-        ("max_adjacent", agg.max_adjacent, prof.max_adjacent),
-        ("min_nonadjacent", agg.min_nonadjacent, prof.min_nonadjacent),
-        ("max_nonadjacent", agg.max_nonadjacent, prof.max_nonadjacent),
-    ):
-        checks += 1
-        if pred != act:
-            fails.append(
-                {"check": f"aggregate:{name}", "expected": act, "actual": pred,
-                 "clause": list(agg.fired)}
-            )
+    for name in ("min_adjacent", "max_adjacent", "min_nonadjacent", "max_nonadjacent"):
+        pred, act = getattr(agg, name), getattr(prof, name)
+        expect(pred == act, f"aggregate:{name}", act, pred, clause=list(agg.fired))
     rep = classify_vertices(g)
     equivalences = []
     if not g.is_edgeless():
@@ -419,7 +381,7 @@ def suite_aggregate_characterizations(g: Graph):
         ]
     if not g.is_complete():
         drop2 = any(
-            domination_number(delete_vertices(g, (u, v))[0]) == rep.gamma - 2
+            constrained_domination_number(g, delete=(u, v)) == rep.gamma - 2
             for u, v in g.non_edges()
         )
         equivalences += [
@@ -438,92 +400,58 @@ def suite_aggregate_characterizations(g: Graph):
          oracle.all_nonadjacent_pa_three(g))
     )
     for name, lhs, rhs in equivalences:
-        checks += 1
-        if lhs != rhs:
-            fails.append({"check": name, "expected": lhs, "actual": rhs})
-    return checks, fails
+        expect(lhs == rhs, name, lhs, rhs)
 
 
-def suite_regions(g: Graph):
+@_suite(skip=Graph.is_edgeless)
+def suite_regions(g: Graph, expect):
     """Taxonomy flags are internally consistent and match the solver profile."""
-    if g.is_edgeless():
-        return 0, []
-    checks, fails = 0, []
     rc = oracle.classify_regions(g)
     prof = path_addition_profile(g)
-
-    def expect(cond, name, detail=""):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            fails.append({"check": name, "expected": True, "actual": detail or False})
-
-    expect(rc.in_a == (prof.min_adjacent == 3), "in-a-matches-profile",
+    expect(rc.in_a == (prof.min_adjacent == 3), "in-a-matches-profile", True,
            f"in_a={rc.in_a}, min_adjacent={prof.min_adjacent}")
-    expect((not rc.in_a3) or rc.in_a1, "a3-implies-a1")
-    expect((not (rc.in_a1 or rc.in_a2)) or rc.in_a, "a1-or-a2-implies-a")
-    expect((not rc.in_a1) or prof.min_adjacent == 3, "a1-implies-min-adjacent-3")
-    expect((not rc.in_a3) or prof.min_adjacent == 3, "vc-implies-min-adjacent-3")
-    expect(rc.region in oracle.REGION_TAGS, "region-tag-valid", rc.region)
-    expect(rc.in_a == (rc.region != "NotInA"), "region-membership-consistent")
-    return checks, fails
+    expect((not rc.in_a3) or rc.in_a1, "a3-implies-a1", True, False)
+    expect((not (rc.in_a1 or rc.in_a2)) or rc.in_a, "a1-or-a2-implies-a", True, False)
+    expect((not rc.in_a1) or prof.min_adjacent == 3, "a1-implies-min-adjacent-3", True, False)
+    expect((not rc.in_a3) or prof.min_adjacent == 3, "vc-implies-min-adjacent-3", True, False)
+    expect(rc.region in oracle.REGION_TAGS, "region-tag-valid", True, rc.region or False)
+    expect(rc.in_a == (rc.region != "NotInA"), "region-membership-consistent", True, False)
 
 
-def suite_subdivision(g: Graph):
+@_suite()
+def suite_subdivision(g: Graph, expect):
     """Subdividing any edge never lowers the domination number."""
-    checks, fails = 0, []
     gamma = domination_number(g)
     for u, v in g.edges():
-        checks += 1
         got = domination_number(subdivide_edge(g, u, v))
-        if got < gamma:
-            fails.append(
-                {"check": "subdivision-monotone", "pair": [u, v],
-                 "expected": f">= {gamma}", "actual": got}
-            )
-    return checks, fails
+        expect(got >= gamma, "subdivision-monotone", f">= {gamma}", got, pair=(u, v))
 
 
-def suite_edge_addition(g: Graph):
+@_suite()
+def suite_edge_addition(g: Graph, expect):
     """Adding one edge moves the domination number by at most one, downward."""
-    checks, fails = 0, []
     gamma = domination_number(g)
     for u, v in g.non_edges():
-        checks += 1
         got = domination_number(add_path(g, u, v, 0))
-        if not gamma - 1 <= got <= gamma:
-            fails.append(
-                {"check": "edge-addition-window", "pair": [u, v],
-                 "expected": f"in [{gamma - 1}, {gamma}]", "actual": got}
-            )
-    return checks, fails
+        expect(gamma - 1 <= got <= gamma, "edge-addition-window",
+               f"in [{gamma - 1}, {gamma}]", got, pair=(u, v))
 
 
-def suite_vertex_deletion(g: Graph):
+@_suite()
+def suite_vertex_deletion(g: Graph, expect):
     """Deleting a vertex outside every minimum set keeps gamma; deleting a
     critical vertex makes all its neighbors bad in the smaller graph."""
-    checks, fails = 0, []
     rep = classify_vertices(g)
     for v in range(g.n):
-        h, relabel = delete_vertices(g, (v,))
+        gamma_v = constrained_domination_number(g, delete=(v,))
         if rep.bad[v]:
-            checks += 1
-            got = domination_number(h)
-            if got != rep.gamma:
-                fails.append(
-                    {"check": "bad-deletion-neutral", "pair": [v],
-                     "expected": rep.gamma, "actual": got}
-                )
+            expect(gamma_v == rep.gamma, "bad-deletion-neutral", rep.gamma, gamma_v,
+                   pair=(v,))
         if rep.critical[v]:
-            hrep = classify_vertices(h)
             for w in g.neighbors(v):
-                checks += 1
-                if not hrep.bad[relabel[w]]:
-                    fails.append(
-                        {"check": "critical-neighbors-bad", "pair": [v, w],
-                         "expected": "bad after deletion", "actual": "good"}
-                    )
-    return checks, fails
+                good = constrained_domination_number(g, include=(w,), delete=(v,)) == gamma_v
+                expect(not good, "critical-neighbors-bad", "bad after deletion", "good",
+                       pair=(v, w))
 
 
 def _naive_gamma(g: Graph) -> int:
@@ -539,20 +467,11 @@ def _naive_gamma(g: Graph) -> int:
     raise AssertionError("unreachable: the full vertex set dominates")
 
 
-def suite_solver_cross_check(g: Graph):
+@_suite(skip=lambda g: g.n > NAIVE_CROSS_CHECK_MAX_N)
+def suite_solver_cross_check(g: Graph, expect):
     """Branch-and-bound agrees with the ascending-subsets oracle (small n),
     and the derived domination machinery is self-consistent."""
-    if g.n > NAIVE_CROSS_CHECK_MAX_N:
-        return 0, []
-    checks, fails = 0, []
     gamma = domination_number(g)
-
-    def expect(cond, name, expected, actual):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            fails.append({"check": name, "expected": expected, "actual": actual})
-
     naive = _naive_gamma(g)
     expect(gamma == naive, "gamma-vs-naive", naive, gamma)
     wit = minimum_dominating_set(g)
@@ -576,30 +495,20 @@ def suite_solver_cross_check(g: Graph):
         expect(rep.independent_domination_number == gamma,
                "strong-equality-pins-independent", gamma,
                rep.independent_domination_number)
-    return checks, fails
 
 
-def suite_sum_bounds(g: Graph):
+@_suite(skip=lambda g: g.is_edgeless() or g.is_complete() or not g.is_connected())
+def suite_sum_bounds(g: Graph, expect):
     """Aggregate sums stay in their windows (connected noncomplete graphs)."""
-    if g.n < 2 or g.is_edgeless() or g.is_complete() or not g.is_connected():
-        return 0, []
-    result = oracle.check_sum_bounds(g)
-    fails = []
-    for name, ok in result._asdict().items():
-        if not ok:
-            fails.append({"check": f"sum-bound:{name}", "expected": True, "actual": False})
-    return 4, fails
+    for name, ok in oracle.check_sum_bounds(g)._asdict().items():
+        expect(ok, f"sum-bound:{name}", True, False)
 
 
-def suite_max_adjacent_2(g: Graph):
+@_suite(skip=Graph.is_edgeless)
+def suite_max_adjacent_2(g: Graph, expect):
     """Fixture suite: the adjacent-pair maximum is exactly 2."""
-    if g.n < 2 or g.is_edgeless():
-        return 0, []
-    prof = path_addition_profile(g)
-    if prof.max_adjacent != 2:
-        return 1, [{"check": "max-adjacent-2", "expected": 2,
-                    "actual": prof.max_adjacent}]
-    return 1, []
+    max_adjacent = path_addition_profile(g).max_adjacent
+    expect(max_adjacent == 2, "max-adjacent-2", 2, max_adjacent)
 
 
 SUITES = {
@@ -727,6 +636,11 @@ def run_verification(
     spec: CorpusSpec, suites=("all",), max_counterexamples: int = 25
 ) -> VerificationReport:
     names = _resolve_suites(suites)
+    raw_workers = os.environ.get(WORKERS_ENV, "1") or "1"
+    try:
+        workers = int(raw_workers)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw_workers!r}") from None
     stats = {
         name: {"graphs": 0, "checks": 0, "failures": 0} for name in names
     }
@@ -741,13 +655,14 @@ def run_verification(
         corpus = iter_corpus(spec)
 
     t_start = time.perf_counter()
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     tasks = ((g, names) for _, g in corpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_eval_graph, tasks, chunksize=16)
-            for per_graph in results:
-                _fold(per_graph, stats, timing, counterexamples, max_counterexamples)
+            # Executor.map submits its whole input before yielding a result,
+            # so the corpus goes in window by window to keep memory bounded
+            while window := list(islice(tasks, POOL_WINDOW)):
+                for per_graph in pool.map(_eval_graph, window, chunksize=16):
+                    _fold(per_graph, stats, timing, counterexamples, max_counterexamples)
     else:
         for task in tasks:
             _fold(_eval_graph(task), stats, timing, counterexamples, max_counterexamples)

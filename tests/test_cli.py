@@ -64,6 +64,12 @@ class TestSingleGraphCommands:
         d = json.loads(capsys.readouterr().out)
         assert d["min_nonadjacent"] == 4 and d["max_nonadjacent"] == 4
 
+    def test_profile_table_prints_infinite_aggregates(self, capsys, monkeypatch):
+        assert run_cli(["profile"], "B?\n", monkeypatch) == 0  # three isolated vertices
+        out = capsys.readouterr().out
+        assert "adjacent min/max = inf/inf\n" in out
+        assert "nonadjacent min/max = 5/5\n" in out
+
     def test_regions(self, capsys, monkeypatch):
         assert run_cli(["regions"], "4 4\n0 1\n1 2\n2 3\n3 0\n", monkeypatch) == 0
         assert "region = R3" in capsys.readouterr().out
@@ -176,6 +182,20 @@ class TestVerify:
         assert main(["verify", "--mode", "file", "--file", str(empty)]) == 2
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "no graph" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, env, named",
+        [(["--n=-1"], "", "--n"),
+         (["--n", "3-"], "", "--n"),
+         (["--n", "4", "--max-counterexamples", "-1"], "", "--max-counterexamples"),
+         (["--n", "2"], "abc", "PATHDOM_WORKERS")],
+    )
+    def test_malformed_input_names_its_source(self, monkeypatch, capsys, argv, env, named):
+        if env:
+            monkeypatch.setenv("PATHDOM_WORKERS", env)
+        assert main(["verify", *argv, "--suite", "chains"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "int()" not in err
 
     def test_file_mode_needs_file(self, capsys):
         assert main(["verify", "--mode", "file"]) == 2

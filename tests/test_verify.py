@@ -1,10 +1,13 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from pathdom import verify
-from pathdom.families import crown
+from pathdom.families import crown, path, star
 from pathdom.formats import emit_graph6, parse_graph6
+from pathdom.graphs import Graph
 from pathdom.verify import (
     SUITES,
     CorpusSpec,
@@ -200,6 +203,39 @@ class TestRunner:
         assert seq.suite_stats == par.suite_stats
         assert seq.to_json(include_volatile=False) == par.to_json(include_volatile=False)
 
+    def test_pool_is_fed_one_window_at_a_time(self, monkeypatch):
+        window = 8
+        spec = CorpusSpec.exhaustive(4)  # 76 graphs: ten windows
+        suites = ["chains", "vertex-deletion"]
+        seq = run_verification(spec, suites).to_json(include_volatile=False)
+        drawn = []
+
+        def counting_corpus(spec):
+            for item in iter_corpus(spec):
+                drawn.append(item)
+                yield item
+
+        folded_after = []
+        fold = verify._fold
+
+        def watched_fold(*args):
+            folded_after.append(len(drawn))
+            fold(*args)
+
+        monkeypatch.setattr(verify, "POOL_WINDOW", window)
+        monkeypatch.setattr(verify, "iter_corpus", counting_corpus)
+        monkeypatch.setattr(verify, "_fold", watched_fold)
+        monkeypatch.setenv("PATHDOM_WORKERS", "2")
+        par = run_verification(spec, suites).to_json(include_volatile=False)
+        assert folded_after[0] <= window
+        assert len(drawn) == len(folded_after) == 76
+        assert par == seq
+
+    def test_non_integer_workers_is_a_clear_error(self, monkeypatch):
+        monkeypatch.setenv("PATHDOM_WORKERS", "abc")
+        with pytest.raises(ValueError, match="PATHDOM_WORKERS"):
+            run_verification(CorpusSpec.exhaustive(2), ["chains"])
+
 
 def test_oracle_equivalence_skips_tiny_graphs():
     from pathdom.graphs import Graph
@@ -213,3 +249,143 @@ def test_failure_payloads_are_strict_json():
     payload = {"actual": [float("inf"), 3], "nested": {"x": float("inf")}}
     assert _jsonable(payload) == {"actual": ["inf", 3], "nested": {"x": "inf"}}
     assert json.dumps(_jsonable(payload))  # strict-serializable
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "spec, suites, golden",
+    [(CorpusSpec.exhaustive(4), ["all"], "exhaustive4_all.json"),
+     (CorpusSpec.exhaustive(4, n_min=4, connected_only=True), ["max-adjacent-2"],
+      "exhaustive4_connected_max_adjacent_2.json")],
+)
+def test_report_matches_golden_file(spec, suites, golden):
+    report = run_verification(spec, suites).to_json(include_volatile=False)
+    assert report.encode("ascii") == (DATA / golden).read_bytes()
+
+
+# -- failure records, one planted fault per case ------------------------------
+
+
+def _gamma_after_path_off_by_one(mp, g):
+    orig = verify.domination_after_path
+    mp.setattr(verify, "domination_after_path",
+               lambda g, u, v, k: orig(g, u, v, k) + ((u, v) == (0, 1)))
+
+
+def _pa_plus_one(mp, g):
+    orig = verify.path_addition_number
+    mp.setattr(verify, "path_addition_number", lambda g, u, v: orig(g, u, v) + 1)
+
+
+def _min_adjacent_shifted(mp, g):
+    orig = verify.path_addition_profile
+    mp.setattr(verify, "path_addition_profile",
+               lambda g: dataclasses.replace(orig(g), min_adjacent=orig(g).min_adjacent + 1))
+
+
+def _sum_bound_false(mp, g):
+    orig = verify.oracle.check_sum_bounds
+    mp.setattr(verify.oracle, "check_sum_bounds",
+               lambda g: orig(g)._replace(max_adj_plus_min_nonadj=False))
+
+
+def _vertex_0_flipped(mp, base):
+    """Vertex 0 of the suite's graph (only) swaps its critical and bad flags."""
+    orig = verify.classify_vertices
+
+    def classify(g):
+        rep = orig(g)
+        if g != base:
+            return rep
+        return dataclasses.replace(rep, critical=(not rep.critical[0],) + rep.critical[1:],
+                                   bad=(not rep.bad[0],) + rep.bad[1:])
+
+    mp.setattr(verify, "classify_vertices", classify)
+
+
+def _k1_path_is_k2(mp, g):
+    orig = verify.add_path
+    mp.setattr(verify, "add_path", lambda g, u, v, k: orig(g, u, v, 2 if k == 1 else k))
+
+
+# C11 labelled so that vertex 0 has neighbours 9 and 2, which a frozenset
+# yields in that (not ascending) order
+_C11_RELABELLED = Graph(11, [(0, 2), (2, 1), (1, 3), (3, 4), (4, 5), (5, 6),
+                             (6, 7), (7, 8), (8, 10), (10, 9), (9, 0)])
+_FIRED_P4 = ["max-adjacent=3:some-minimum-set-dependent",
+             "min-adjacent=3:every-edge-shares-set-or-touches-critical",
+             "min-nonadjacent=3:pair-without-critical-good-pairing",
+             "max-nonadjacent=4:some-pair-pairs-up"]
+_NOT_CRITICAL = [("expected", "critical"), ("actual", "not critical")]
+
+
+@pytest.mark.parametrize(
+    "fault, suite, g, checks, records",
+    [
+        (_gamma_after_path_off_by_one, "oracle-equivalence", path(3), 14, [
+            [("check", "gamma-after-path"), ("pair", [0, 1]), ("k", 1),
+             ("expected", 2), ("actual", 1)],
+            [("check", "gamma-after-path"), ("pair", [0, 1]), ("k", 2),
+             ("expected", 3), ("actual", 2)],
+            [("check", "gamma-after-path"), ("pair", [0, 1]), ("k", 3),
+             ("expected", 3), ("actual", 2)],
+        ]),
+        (_gamma_after_path_off_by_one, "adjacent-k3", path(3), 2, [
+            [("check", "adjacent-k3"), ("pair", [0, 1]), ("k", 3),
+             ("expected", 2), ("actual", 3)],
+        ]),
+        (_gamma_after_path_off_by_one, "chains", path(3), 3, [
+            [("check", "chain"), ("pair", [0, 1]),
+             ("expected", "nondecreasing with anchored start"),
+             ("actual", [2, 2, 3, 3, 3, 4])],
+        ]),
+        (_pa_plus_one, "oracle-equivalence", path(3), 14, [
+            [("check", "path-addition-number"), ("pair", [0, 1]), ("expected", 3),
+             ("actual", 2), ("clause", "adjacent:k2:no-shared-set-no-critical")],
+            [("check", "path-addition-number"), ("pair", [0, 2]), ("expected", 2),
+             ("actual", 1), ("clause", "nonadjacent:k1:bad-pair-no-deleted-critical")],
+            [("check", "path-addition-number"), ("pair", [1, 2]), ("expected", 3),
+             ("actual", 2), ("clause", "adjacent:k2:no-shared-set-no-critical")],
+        ]),
+        (_min_adjacent_shifted, "aggregate-characterizations", path(4), 11, [
+            [("check", "aggregate:min_adjacent"), ("expected", 4), ("actual", 3),
+             ("clause", _FIRED_P4)],
+        ]),
+        (_min_adjacent_shifted, "aggregate-bounds", path(4), 5, [
+            [("check", "min<=max-adjacent"), ("expected", "within bounds"),
+             ("actual", [4, 3])],
+            [("check", "min-adjacent-window"), ("expected", "within bounds"),
+             ("actual", 4)],
+        ]),
+        (_min_adjacent_shifted, "regions", path(4), 7, [
+            [("check", "in-a-matches-profile"), ("expected", True),
+             ("actual", "in_a=True, min_adjacent=4")],
+        ]),
+        (_sum_bound_false, "sum-bounds", path(4), 4, [
+            [("check", "sum-bound:max_adj_plus_min_nonadj"), ("expected", True),
+             ("actual", False)],
+        ]),
+        (_vertex_0_flipped, "vertex-deletion", path(4), 2, [
+            [("check", "bad-deletion-neutral"), ("pair", [0]), ("expected", 2),
+             ("actual", 1)],
+        ]),
+        (_vertex_0_flipped, "vertex-deletion", _C11_RELABELLED, 3, [
+            [("check", "critical-neighbors-bad"), ("pair", [0, 9]),
+             ("expected", "bad after deletion"), ("actual", "good")],
+            [("check", "critical-neighbors-bad"), ("pair", [0, 2]),
+             ("expected", "bad after deletion"), ("actual", "good")],
+        ]),
+        (_k1_path_is_k2, "oracle-equivalence", star(4), 52, [
+            [("check", "inserted-vertex-critical"), ("pair", pair), ("k", 1),
+             *_NOT_CRITICAL]
+            for pair in ([1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4])
+        ]),
+    ],
+)
+def test_failure_records(monkeypatch, fault, suite, g, checks, records):
+    fault(monkeypatch, g)
+    got_checks, fails = SUITES[suite](g)
+    assert [list(rec.items()) for rec in fails] == records
+    assert got_checks == checks
