@@ -64,7 +64,6 @@ from .oracle import (
     RegionClass,
     all_nonadjacent_pa_three,
     characterize_aggregates,
-    check_sum_bounds,
     classify_regions,
     predict_adjacent,
     predict_nonadjacent,
@@ -76,6 +75,7 @@ from .path_addition import (
     PaProfile,
     SolverInconsistencyError,
     add_path,
+    check_sum_bounds,
     domination_after_path,
     path_addition_number,
     path_addition_profile,

@@ -14,7 +14,6 @@ __all__ = [
     "bits",
     "mask_of",
     "set_of",
-    "pair_index",
     "from_edge_mask",
     "edge_mask",
     "delete_vertices",
@@ -99,9 +98,6 @@ class Graph:
         return g
 
     # -- basic accessors ---------------------------------------------------
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return set_of(self.nbr[v])
@@ -188,16 +184,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
 
 
-# -- colex pair indexing (shared with the graph6 codec) ----------------------
-
-
-def pair_index(u: int, v: int) -> int:
-    """Index of the unordered pair in colex order: (0,1),(0,2),(1,2),(0,3),..."""
-    if u == v:
-        raise ValueError("pair must have distinct endpoints")
-    if u > v:
-        u, v = v, u
-    return v * (v - 1) // 2 + u
+# -- colex edge masks (shared with the graph6 codec) -------------------------
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:

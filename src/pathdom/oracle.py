@@ -7,11 +7,10 @@ cross-checks each rule against the exact solver, so a wrong rule shows
 up as a counterexample rather than a silent disagreement.
 
 Clause labels returned with predictions are stable strings of the form
-"adjacent:k2:shared-minimum-set" and are safe to diff across versions.
+"adjacent:k2:no-shared-set-no-critical" and are safe to diff across versions.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .domination import (
     all_minimum_sets_cliques,
@@ -21,7 +20,7 @@ from .domination import (
     shares_minimum_set,
 )
 from .graphs import Graph
-from .path_addition import INFINITE, path_addition_profile
+from .path_addition import INFINITE
 
 __all__ = [
     "Prediction",
@@ -35,12 +34,10 @@ __all__ = [
     "REGION_TAGS",
     "classify_regions",
     "all_nonadjacent_pa_three",
-    "SumBoundsCheck",
-    "check_sum_bounds",
 ]
 
 
-# -- derived quantities on deleted subgraphs ---------------------------------
+# -- the per-pair rules, each stated once ------------------------------------
 
 
 def _gamma_without(g: Graph, drop: tuple[int, ...]) -> int:
@@ -54,71 +51,25 @@ def _good_in_without(g: Graph, vertex: int, removed: int) -> bool:
     ) == _gamma_without(g, (removed,))
 
 
-# -- per-pair, per-k predictions ----------------------------------------------
+def _k2_keeps(g, u, v, rep) -> bool:
+    """Two inserted vertices keep gamma: an endpoint is critical or the
+    pair lies in a common minimum dominating set."""
+    return rep.critical[u] or rep.critical[v] or shares_minimum_set(g, u, v)
 
 
-def predict_adjacent(g: Graph, u: int, v: int, k: int) -> int:
-    """Predicted domination number after inserting k internal path vertices
-    between the adjacent pair u, v (k in 1..3)."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge; use predict_nonadjacent")
-    if k not in (1, 2, 3):
-        raise ValueError("adjacent predictions cover k in 1..3 only")
-    gamma = domination_number(g)
-    if k == 3:
-        return gamma + 1
-    rep = classify_vertices(g)
-    if k == 1:
-        return gamma if rep.good[u] or rep.good[v] else gamma + 1
-    # k == 2
-    if rep.critical[u] or rep.critical[v] or shares_minimum_set(g, u, v):
-        return gamma
-    return gamma + 1
-
-
-def predict_nonadjacent(g: Graph, u: int, v: int, k: int) -> int | None:
-    """Predicted domination number after inserting k internal path vertices
-    between the nonadjacent pair u, v (k in 1..5).
-
-    The k=5 value is pinned only when the k=4 prediction leaves the
-    domination number unchanged; otherwise it is undetermined (None).
-    """
-    if g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is an edge; use predict_adjacent")
-    if u == v:
-        raise ValueError("pair must be distinct")
-    if k not in (1, 2, 3, 4, 5):
-        raise ValueError("nonadjacent predictions cover k in 1..5 only")
-    gamma = domination_number(g)
-    rep = classify_vertices(g)
-    if k == 1:
-        return _predict_nonadjacent_k1(g, u, v, gamma, rep)
-    if k == 2:
-        if rep.critical[u] or rep.critical[v] or shares_minimum_set(g, u, v):
-            return gamma
-        return gamma + 1
-    if k == 3:
-        return gamma if _deleted_pairing(g, u, v, rep) else gamma + 1
-    if k == 4:
-        if _gamma_without(g, (u, v)) == gamma - 2:
-            return gamma
-        if _predict_nonadjacent_k1(g, u, v, gamma, rep) == gamma + 1:
-            return gamma + 2
-        return gamma + 1
-    # k == 5
-    k4 = predict_nonadjacent(g, u, v, 4)
-    return gamma + 1 if k4 == gamma else None
-
-
-def _predict_nonadjacent_k1(g, u, v, gamma, rep) -> int:
+def _k1_rises(g, u, v, rep) -> bool:
+    """One inserted vertex between the nonadjacent pair raises gamma: both
+    endpoints are bad and neither turns critical once the other is gone."""
+    if not (rep.bad[u] and rep.bad[v]):
+        return False
+    # u critical in g-v would mean gamma(g-{u,v}) < gamma(g-v)
     d_uv = _gamma_without(g, (u, v))
-    if d_uv == gamma - 2:
-        return gamma - 1
-    if rep.bad[u] and rep.bad[v]:
-        # u critical in g-v would mean gamma(g-{u,v}) < gamma(g-v)
-        if d_uv >= _gamma_without(g, (v,)) and d_uv >= _gamma_without(g, (u,)):
-            return gamma + 1
-    return gamma
+    return d_uv >= _gamma_without(g, (v,)) and d_uv >= _gamma_without(g, (u,))
+
+
+def _drops_two(g, u, v, gamma) -> bool:
+    """Deleting the pair lowers gamma by two."""
+    return _gamma_without(g, (u, v)) == gamma - 2
 
 
 def _deleted_pairing(g, u, v, rep) -> bool:
@@ -127,6 +78,21 @@ def _deleted_pairing(g, u, v, rep) -> bool:
     if rep.critical[u] and _good_in_without(g, v, u):
         return True
     return rep.critical[v] and _good_in_without(g, u, v)
+
+
+# -- per-pair predictions -----------------------------------------------------
+
+
+_CLAUSES = {
+    (True, 1): "adjacent:k1:bad-endpoints",
+    (True, 2): "adjacent:k2:no-shared-set-no-critical",
+    (True, 3): "adjacent:k3:always-rises",
+    (False, 1): "nonadjacent:k1:bad-pair-no-deleted-critical",
+    (False, 2): "nonadjacent:k2:no-shared-set-no-critical",
+    (False, 3): "nonadjacent:k3:no-critical-good-pairing",
+    (False, 4): "nonadjacent:k4:pair-deletion-keeps-gamma",
+    (False, 5): "nonadjacent:k5:forced-rise",
+}
 
 
 @dataclass
@@ -142,6 +108,12 @@ class Prediction:
 
 
 def predict_pair(g: Graph, u: int, v: int) -> Prediction:
+    """Predicted domination number after inserting k internal path vertices
+    between u and v, for k in 1..3 (adjacent pair) or 1..5 (nonadjacent).
+
+    The nonadjacent k=5 value is pinned only when the k=4 value leaves the
+    domination number unchanged; otherwise it is undetermined (None).
+    """
     if u == v:
         raise ValueError("pair must be distinct")
     if g.n < 2:
@@ -149,29 +121,62 @@ def predict_pair(g: Graph, u: int, v: int) -> Prediction:
     if u > v:
         u, v = v, u
     gamma = domination_number(g)
+    rep = classify_vertices(g)
     adjacent = g.has_edge(u, v)
-    values: dict[int, int | None] = {}
+    k2 = gamma if _k2_keeps(g, u, v, rep) else gamma + 1
     if adjacent:
-        for k in (1, 2, 3):
-            values[k] = predict_adjacent(g, u, v, k)
+        k1 = gamma + 1 if rep.bad[u] and rep.bad[v] else gamma
+        values = {1: k1, 2: k2, 3: gamma + 1}
     else:
-        for k in (1, 2, 3, 4, 5):
-            values[k] = predict_nonadjacent(g, u, v, k)
-    pa = 0
-    for k, val in values.items():
-        if val is not None and val > gamma:
-            pa = k
-            break
-    if not pa:
-        # the rules guarantee a rise by k=3 (adjacent) / k=5 (nonadjacent)
-        raise RuntimeError(f"prediction rules never rose for pair ({u}, {v})")
+        drops_two = _drops_two(g, u, v, gamma)
+        # "k=1 rises" needs a bad pair, and a bad pair never drops two: a
+        # critical vertex is good, so a bad vertex x has gamma(g-x) = gamma,
+        # and deleting one more vertex lowers that by at most one.  The two
+        # tests never both hold, so their order is free.
+        if drops_two:
+            k1 = gamma - 1
+        else:
+            k1 = gamma + 1 if _k1_rises(g, u, v, rep) else gamma
+        values = {
+            1: k1,
+            2: k2,
+            3: gamma if _deleted_pairing(g, u, v, rep) else gamma + 1,
+            # gamma if the pair deletion drops two, gamma+2 if k=1 rises,
+            # gamma+1 otherwise: one above the k=1 value in every case
+            4: k1 + 1,
+            5: gamma + 1 if drops_two else None,
+        }
+    # adjacent k=3 always rises, and nonadjacent k=4 or k=5 does
+    pa = min(k for k, val in values.items() if val is not None and val > gamma)
     return Prediction(
         pair=(u, v),
         adjacent=adjacent,
         gamma_values=values,
         pa=pa,
-        clause=_clause(g, u, v, adjacent, pa),
+        clause=_CLAUSES[adjacent, pa],
     )
+
+
+def predict_adjacent(g: Graph, u: int, v: int, k: int) -> int:
+    """Predicted domination number after inserting k internal path vertices
+    between the adjacent pair u, v (k in 1..3)."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge; use predict_nonadjacent")
+    if k not in (1, 2, 3):
+        raise ValueError("adjacent predictions cover k in 1..3 only")
+    return predict_pair(g, u, v).gamma_values[k]
+
+
+def predict_nonadjacent(g: Graph, u: int, v: int, k: int) -> int | None:
+    """Predicted domination number after inserting k internal path vertices
+    between the nonadjacent pair u, v (k in 1..5; None where undetermined)."""
+    if g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is an edge; use predict_adjacent")
+    if u == v:
+        raise ValueError("pair must be distinct")
+    if k not in (1, 2, 3, 4, 5):
+        raise ValueError("nonadjacent predictions cover k in 1..5 only")
+    return predict_pair(g, u, v).gamma_values[k]
 
 
 def predict_path_addition_number(g: Graph, u: int, v: int) -> int:
@@ -179,24 +184,6 @@ def predict_path_addition_number(g: Graph, u: int, v: int) -> int:
     adjacent pairs and k <= 5 for nonadjacent ones, without ever solving
     a path-added graph."""
     return predict_pair(g, u, v).pa
-
-
-def _clause(g, u, v, adjacent, pa) -> str:
-    if adjacent:
-        if pa == 1:
-            return "adjacent:k1:bad-endpoints"
-        if pa == 2:
-            return "adjacent:k2:no-shared-set-no-critical"
-        return "adjacent:k3:always-rises"
-    if pa == 1:
-        return "nonadjacent:k1:bad-pair-no-deleted-critical"
-    if pa == 2:
-        return "nonadjacent:k2:no-shared-set-no-critical"
-    if pa == 3:
-        return "nonadjacent:k3:no-critical-good-pairing"
-    if pa == 4:
-        return "nonadjacent:k4:pair-deletion-keeps-gamma"
-    return "nonadjacent:k5:forced-rise"
 
 
 # -- aggregates from their closed-form characterizations ----------------------
@@ -231,19 +218,8 @@ def characterize_aggregates(g: Graph) -> AggregateCharacterization:
         else:
             amax = 3
             fired.append("max-adjacent=3:some-minimum-set-dependent")
-        edges = g.edges()
-        if any(rep.bad[u] and rep.bad[v] for u, v in edges):
-            amin = 1
-            fired.append("min-adjacent=1:adjacent-bad-pair")
-        elif all(
-            rep.critical[u] or rep.critical[v] or shares_minimum_set(g, u, v)
-            for u, v in edges
-        ):
-            amin = 3
-            fired.append("min-adjacent=3:every-edge-shares-set-or-touches-critical")
-        else:
-            amin = 2
-            fired.append("min-adjacent=2:default")
+        amin, rule = _characterize_min_adjacent(g, rep)
+        fired.append(rule)
 
     if g.is_complete():
         nmin = nmax = INFINITE
@@ -258,20 +234,23 @@ def characterize_aggregates(g: Graph) -> AggregateCharacterization:
     return AggregateCharacterization(amin, amax, nmin, nmax, tuple(fired))
 
 
+def _characterize_min_adjacent(g, rep):
+    edges = g.edges()
+    if any(rep.bad[u] and rep.bad[v] for u, v in edges):
+        return 1, "min-adjacent=1:adjacent-bad-pair"
+    if all(_k2_keeps(g, u, v, rep) for u, v in edges):
+        return 3, "min-adjacent=3:every-edge-shares-set-or-touches-critical"
+    return 2, "min-adjacent=2:default"
+
+
 def _characterize_min_nonadjacent(g, rep, pairs):
     if g.is_edgeless():
         return 5, "min-nonadjacent=5:edgeless"
-    for u, v in pairs:
-        if rep.bad[u] and rep.bad[v]:
-            d_uv = _gamma_without(g, (u, v))
-            if d_uv >= _gamma_without(g, (v,)) and d_uv >= _gamma_without(g, (u,)):
-                return 1, "min-nonadjacent=1:bad-pair-no-deleted-critical"
-    if any(
-        not rep.critical[u] and not rep.critical[v] and not shares_minimum_set(g, u, v)
-        for u, v in pairs
-    ):
+    if any(_k1_rises(g, u, v, rep) for u, v in pairs):
+        return 1, "min-nonadjacent=1:bad-pair-no-deleted-critical"
+    if not all(_k2_keeps(g, u, v, rep) for u, v in pairs):
         return 2, "min-nonadjacent=2:uncovered-noncritical-pair"
-    if any(not _deleted_pairing(g, u, v, rep) for u, v in pairs):
+    if not all(_deleted_pairing(g, u, v, rep) for u, v in pairs):
         return 3, "min-nonadjacent=3:pair-without-critical-good-pairing"
     return 4, "min-nonadjacent=4:all-pairs-pair-up"
 
@@ -279,7 +258,7 @@ def _characterize_min_nonadjacent(g, rep, pairs):
 def _characterize_max_nonadjacent(g, gamma, rep, pairs):
     if gamma == 1:
         return 1, "max-nonadjacent=1:single-vertex-dominates"
-    if any(_gamma_without(g, (u, v)) == gamma - 2 for u, v in pairs):
+    if any(_drops_two(g, u, v, gamma) for u, v in pairs):
         return 5, "max-nonadjacent=5:some-pair-deletion-drops-two"
     if all_minimum_sets_cliques(g):
         return 2, "max-nonadjacent=2:all-minimum-sets-cliques"
@@ -316,9 +295,8 @@ class RegionClass:
 def classify_regions(g: Graph) -> RegionClass:
     if g.is_edgeless():
         raise ValueError("region taxonomy needs a graph with at least one edge")
-    agg = characterize_aggregates(g)
-    in_a = agg.min_adjacent == 3
     rep = classify_vertices(g)
+    in_a = _characterize_min_adjacent(g, rep)[0] == 3
     in_a1 = g.is_vertex_cover(rep.critical_vertices)
     in_a2 = all(shares_minimum_set(g, u, v) for u, v in g.edges())
     in_a3 = all(rep.critical)
@@ -351,34 +329,3 @@ def all_nonadjacent_pa_three(g: Graph) -> bool:
     if rep.critical_vertices or not all(rep.good):
         return False
     return all(shares_minimum_set(g, u, v) for u, v in g.non_edges())
-
-
-# -- sum bounds ----------------------------------------------------------------
-
-
-class SumBoundsCheck(NamedTuple):
-    """Each field says whether the corresponding aggregate sum sits inside
-    its documented window."""
-
-    min_adj_plus_max_nonadj: bool  # within [2, 8]
-    min_adj_plus_min_nonadj: bool  # within [2, 7]
-    max_adj_plus_max_nonadj: bool  # within [3, 8]
-    max_adj_plus_min_nonadj: bool  # within [3, 7]
-
-
-def check_sum_bounds(g: Graph) -> SumBoundsCheck:
-    """Validate the four aggregate-sum windows on a connected, noncomplete
-    graph with edges (the hypotheses are checked and violations named)."""
-    if g.is_edgeless():
-        raise ValueError("sum bounds require a graph with edges")
-    if not g.is_connected():
-        raise ValueError("sum bounds require a connected graph")
-    if g.is_complete():
-        raise ValueError("sum bounds require a noncomplete graph")
-    prof = path_addition_profile(g)
-    return SumBoundsCheck(
-        2 <= prof.min_adjacent + prof.max_nonadjacent <= 8,
-        2 <= prof.min_adjacent + prof.min_nonadjacent <= 7,
-        3 <= prof.max_adjacent + prof.max_nonadjacent <= 8,
-        3 <= prof.max_adjacent + prof.min_nonadjacent <= 7,
-    )

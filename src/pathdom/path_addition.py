@@ -11,6 +11,7 @@ solver bug, never a valid outcome.
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .domination import domination_number
 from .graphs import Graph
@@ -23,6 +24,8 @@ __all__ = [
     "domination_after_path",
     "path_addition_number",
     "path_addition_profile",
+    "SumBoundsCheck",
+    "check_sum_bounds",
 ]
 
 INFINITE = math.inf
@@ -123,4 +126,32 @@ def path_addition_profile(g: Graph) -> PaProfile:
         max_adjacent=max(adjacent, default=INFINITE),
         min_nonadjacent=min(nonadjacent, default=INFINITE),
         max_nonadjacent=max(nonadjacent, default=INFINITE),
+    )
+
+
+class SumBoundsCheck(NamedTuple):
+    """Each field says whether the corresponding aggregate sum sits inside
+    its documented window."""
+
+    min_adj_plus_max_nonadj: bool  # within [2, 8]
+    min_adj_plus_min_nonadj: bool  # within [2, 7]
+    max_adj_plus_max_nonadj: bool  # within [3, 8]
+    max_adj_plus_min_nonadj: bool  # within [3, 7]
+
+
+def check_sum_bounds(g: Graph) -> SumBoundsCheck:
+    """Validate the four aggregate-sum windows on a connected, noncomplete
+    graph with edges (the hypotheses are checked and violations named)."""
+    if g.is_edgeless():
+        raise ValueError("sum bounds require a graph with edges")
+    if not g.is_connected():
+        raise ValueError("sum bounds require a connected graph")
+    if g.is_complete():
+        raise ValueError("sum bounds require a noncomplete graph")
+    prof = path_addition_profile(g)
+    return SumBoundsCheck(
+        2 <= prof.min_adjacent + prof.max_nonadjacent <= 8,
+        2 <= prof.min_adjacent + prof.min_nonadjacent <= 7,
+        3 <= prof.max_adjacent + prof.max_nonadjacent <= 8,
+        3 <= prof.max_adjacent + prof.min_nonadjacent <= 7,
     )

@@ -34,6 +34,7 @@ from .graphs import Graph, enumerate_labeled_graphs, from_edge_mask, subdivide_e
 from .path_addition import (
     INFINITE,
     add_path,
+    check_sum_bounds,
     domination_after_path,
     path_addition_number,
     path_addition_profile,
@@ -500,7 +501,7 @@ def suite_solver_cross_check(g: Graph, expect):
 @_suite(skip=lambda g: g.is_edgeless() or g.is_complete() or not g.is_connected())
 def suite_sum_bounds(g: Graph, expect):
     """Aggregate sums stay in their windows (connected noncomplete graphs)."""
-    for name, ok in oracle.check_sum_bounds(g)._asdict().items():
+    for name, ok in check_sum_bounds(g)._asdict().items():
         expect(ok, f"sum-bound:{name}", True, False)
 
 

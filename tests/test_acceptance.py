@@ -21,8 +21,8 @@ from pathdom.families import (
 )
 from pathdom.formats import emit_graph6, parse_graph6
 from pathdom.graphs import Graph, from_edge_mask
-from pathdom.oracle import check_sum_bounds, classify_regions, all_nonadjacent_pa_three
-from pathdom.path_addition import path_addition_profile
+from pathdom.oracle import classify_regions, all_nonadjacent_pa_three
+from pathdom.path_addition import check_sum_bounds, path_addition_profile
 from pathdom.verify import CorpusSpec, iter_corpus, run_verification
 
 EXHAUSTIVE = CorpusSpec.exhaustive(5)

@@ -1,7 +1,10 @@
+from collections import Counter
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from pathdom.domination import domination_number
+from pathdom.domination import classify_vertices, domination_number
 from pathdom.families import (
     complete,
     complete_bipartite,
@@ -13,11 +16,10 @@ from pathdom.families import (
     rook,
     star,
 )
-from pathdom.graphs import Graph, enumerate_labeled_graphs
+from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs
 from pathdom.oracle import (
     all_nonadjacent_pa_three,
     characterize_aggregates,
-    check_sum_bounds,
     classify_regions,
     predict_adjacent,
     predict_nonadjacent,
@@ -26,12 +28,13 @@ from pathdom.oracle import (
 )
 from pathdom.path_addition import (
     INFINITE,
+    check_sum_bounds,
     domination_after_path,
     path_addition_number,
     path_addition_profile,
 )
 
-from .conftest import graphs_with_pair
+from .conftest import graphs, graphs_with_pair, naive_gamma
 
 
 def k3_union_k3():
@@ -134,6 +137,70 @@ def test_predicted_chain_is_monotone(gup):
     pred = predict_pair(g, u, v)
     vals = [val for _, val in sorted(pred.gamma_values.items()) if val is not None]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=7))
+def test_k1_rules_never_clash(g):
+    """The facts that let predict_pair test "k=1 rises" and "drops two" in
+    either order: a critical vertex is good, a bad vertex x has
+    gamma(g-x) = gamma, and a nonadjacent bad pair keeps
+    gamma(g-{u,v}) >= gamma-1."""
+    rep = classify_vertices(g)
+    gamma = naive_gamma(g)
+    for x in range(g.n):
+        if rep.critical[x]:
+            assert rep.good[x]
+        if rep.bad[x]:
+            assert naive_gamma(delete_vertices(g, [x])[0]) == gamma
+    for u, v in g.non_edges():
+        if rep.bad[u] and rep.bad[v]:
+            assert naive_gamma(delete_vertices(g, [u, v])[0]) >= gamma - 1
+
+
+def test_atlas_fires_every_rule():
+    """Every clause, every aggregate rule and the recorded region counts on
+    the 1,253 graphs of the networkx atlas (n <= 7)."""
+    clauses, rules, regions = set(), set(), Counter()
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        if g.n >= 2:
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    clauses.add(predict_pair(g, u, v).clause)
+            rules.update(characterize_aggregates(g).fired)
+        if not g.is_edgeless():
+            regions[classify_regions(g).region] += 1
+    assert clauses == {
+        "adjacent:k1:bad-endpoints",
+        "adjacent:k2:no-shared-set-no-critical",
+        "adjacent:k3:always-rises",
+        "nonadjacent:k1:bad-pair-no-deleted-critical",
+        "nonadjacent:k2:no-shared-set-no-critical",
+        "nonadjacent:k3:no-critical-good-pairing",
+        "nonadjacent:k4:pair-deletion-keeps-gamma",
+        "nonadjacent:k5:forced-rise",
+    }
+    assert rules == {
+        "adjacent:empty-class:edgeless",
+        "max-adjacent=2:all-minimum-sets-independent",
+        "max-adjacent=3:some-minimum-set-dependent",
+        "min-adjacent=1:adjacent-bad-pair",
+        "min-adjacent=2:default",
+        "min-adjacent=3:every-edge-shares-set-or-touches-critical",
+        "nonadjacent:empty-class:complete",
+        "min-nonadjacent=1:bad-pair-no-deleted-critical",
+        "min-nonadjacent=2:uncovered-noncritical-pair",
+        "min-nonadjacent=3:pair-without-critical-good-pairing",
+        "min-nonadjacent=4:all-pairs-pair-up",
+        "min-nonadjacent=5:edgeless",
+        "max-nonadjacent=1:single-vertex-dominates",
+        "max-nonadjacent=2:all-minimum-sets-cliques",
+        "max-nonadjacent=3:default",
+        "max-nonadjacent=4:some-pair-pairs-up",
+        "max-nonadjacent=5:some-pair-deletion-drops-two",
+    }
+    assert regions == {"NotInA": 1193, "R0": 30, "R3": 12, "R4": 7, "R5": 3}
 
 
 class TestAggregates:

@@ -286,8 +286,8 @@ def _min_adjacent_shifted(mp, g):
 
 
 def _sum_bound_false(mp, g):
-    orig = verify.oracle.check_sum_bounds
-    mp.setattr(verify.oracle, "check_sum_bounds",
+    orig = verify.check_sum_bounds
+    mp.setattr(verify, "check_sum_bounds",
                lambda g: orig(g)._replace(max_adj_plus_min_nonadj=False))
 
 
