@@ -14,7 +14,6 @@ from pathdom import (
     cycle,
     domination_number,
     minimum_dominating_set,
-    minimum_dominating_sets,
     path,
     private_neighbors,
     rook,
@@ -26,7 +25,6 @@ def show(name, g):
     rep = classify_vertices(g)
     print(f"{name}: n={g.n}, m={g.edge_count}")
     print(f"  gamma = {rep.gamma}, witness = {sorted(rep.witness)}")
-    print(f"  all minimum sets: {[sorted(s) for s in minimum_dominating_sets(g)]}")
     print(f"  good vertices:     {[v for v in range(g.n) if rep.good[v]]}")
     print(f"  critical vertices: {sorted(rep.critical_vertices)}")
     print(f"  independent domination number = {rep.independent_domination_number}"

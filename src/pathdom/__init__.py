@@ -19,7 +19,6 @@ from .domination import (
     independent_domination_number,
     is_dominating,
     minimum_dominating_set,
-    minimum_dominating_sets,
     private_neighbors,
     shares_minimum_set,
 )

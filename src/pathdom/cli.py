@@ -145,12 +145,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_pa(args) -> int:
+    mismatched = False
     for g in _read_graphs(args.file, args.format):
         u, v = args.u, args.v
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
-            raise ValueError(f"pair ({u}, {v}) is not valid for n={g.n}")
+        pred = predict_pair(g, u, v)  # rejects a pair that is not two vertices of g
         direct = path_addition_number(g, u, v)
-        pred = predict_pair(g, u, v)
         if args.json:
             print(json.dumps({
                 "graph6": emit_graph6(g),
@@ -163,20 +162,20 @@ def _cmd_pa(args) -> int:
                     str(k): val for k, val in pred.gamma_values.items()
                 },
             }, indent=2))
-            continue
-        kind = "adjacent" if pred.adjacent else "nonadjacent"
-        print(f"pair ({u}, {v}): {kind}")
-        print(f"  direct:    {direct}")
-        print(f"  predicted: {pred.pa}   [{pred.clause}]")
-        ks = " ".join(
-            f"{k}:{'?' if val is None else val}"
-            for k, val in sorted(pred.gamma_values.items())
-        )
-        print(f"  predicted gamma by k: {ks}")
+        else:
+            kind = "adjacent" if pred.adjacent else "nonadjacent"
+            print(f"pair ({u}, {v}): {kind}")
+            print(f"  direct:    {direct}")
+            print(f"  predicted: {pred.pa}   [{pred.clause}]")
+            ks = " ".join(
+                f"{k}:{'?' if val is None else val}"
+                for k, val in sorted(pred.gamma_values.items())
+            )
+            print(f"  predicted gamma by k: {ks}")
         if direct != pred.pa:
             print("  MISMATCH between prediction and search", file=sys.stderr)
-            return 1
-    return 0
+            mismatched = True
+    return 1 if mismatched else 0
 
 
 def _cmd_profile(args) -> int:
@@ -263,7 +262,10 @@ def _cmd_verify(args) -> int:
     report = run_verification(spec, suites,
                               max_counterexamples=args.max_counterexamples)
     if not any(st["graphs"] for st in report.suite_stats.values()):
-        raise ValueError("the corpus holds no graph, so nothing was verified")
+        reason = "the corpus holds no graph, so nothing was verified"
+        if report.input_errors:
+            reason += f"; first input error: {report.input_errors[0]['error']}"
+        raise ValueError(reason)
     if args.json == "-":
         print(report.to_json())
     else:

@@ -33,7 +33,6 @@ __all__ = [
     "minimum_dominating_set",
     "constrained_domination_number",
     "shares_minimum_set",
-    "minimum_dominating_sets",
     "independent_domination_number",
     "private_neighbors",
     "classify_vertices",
@@ -239,24 +238,6 @@ def constrained_domination_number(
 def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
     """True iff some minimum dominating set contains both u and v."""
     return constrained_domination_number(g, include=(u, v)) == domination_number(g)
-
-
-def minimum_dominating_sets(g: Graph) -> list[frozenset[int]]:
-    """All minimum dominating sets, lexicographically ordered.
-
-    Brute enumeration of every vertex subset of size gamma: a reference
-    for cross-checks on small graphs, not a query path.
-    """
-    gamma = domination_number(g)
-    full = (1 << g.n) - 1
-    out = []
-    for comb in combinations(range(g.n), gamma):
-        dom = 0
-        for v in comb:
-            dom |= g.closed[v]
-        if dom == full:
-            out.append(frozenset(comb))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,8 @@ list format is a "n m" header line followed by one "u v" pair per line,
 0-indexed, with '#' starting a comment.
 """
 
+from itertools import chain
+
 from .graphs import Graph, from_edge_mask, edge_mask
 
 __all__ = [
@@ -15,6 +17,7 @@ __all__ = [
     "emit_edge_list",
     "parse_edge_list",
     "detect_format",
+    "iter_entries",
     "load_graphs",
 ]
 
@@ -107,9 +110,7 @@ def emit_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     tokens: list[str] = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+        tokens.extend(raw.split("#", 1)[0].split())
     if len(tokens) < 2:
         raise GraphFormatError("edge list needs an 'n m' header")
     try:
@@ -130,32 +131,62 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError(str(exc)) from None
 
 
+def _format_of(line: str) -> str | None:
+    """The format a meaningful line announces; None for blank and comment lines."""
+    parts = line.split("#", 1)[0].split()
+    if parts:
+        return "edgelist" if len(parts) == 2 and all(p.isdigit() for p in parts) else "graph6"
+
+
 def detect_format(text: str) -> str:
     """Guess 'edgelist' vs 'graph6' from the first meaningful line."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            return "edgelist"
-        return "graph6"
+    for line in text.splitlines():
+        if fmt := _format_of(line):
+            return fmt
     raise GraphFormatError("no graph data found")
 
 
-def load_graphs(text: str, fmt: str = "auto") -> list[Graph]:
-    """Read one edge-list graph or any number of graph6 lines."""
+def _attempt(parse, data):
+    try:
+        return parse(data)
+    except GraphFormatError as exc:
+        return exc
+
+
+def iter_entries(lines, fmt: str = "auto"):
+    """Yield (line_number, Graph | GraphFormatError) per entry of ``lines``,
+    one at a time; ``lines`` is ``text.splitlines()`` or an open text file
+    (lines break as in ``str.splitlines`` either way).  "auto" takes the
+    format from the first meaningful line.  An edge list is one entry, numbered
+    None; each graph6 entry is a nonblank line that does not start with '#'."""
+    if fmt not in ("auto", "graph6", "edgelist"):
+        raise ValueError(f"unknown format {fmt!r}")
+    numbered = enumerate((line for raw in lines for line in raw.splitlines() or [raw]), 1)
     if fmt == "auto":
-        fmt = detect_format(text)
+        for number, line in numbered:
+            if fmt := _format_of(line):
+                numbered = chain([(number, line)], numbered)
+                break
+        else:
+            return  # no graph data
     if fmt == "edgelist":
-        return [parse_edge_list(text)]
-    if fmt == "graph6":
-        out = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                out.append(parse_graph6(line))
-        if not out:
-            raise GraphFormatError("no graph6 lines found")
-        return out
-    raise ValueError(f"unknown format {fmt!r}")
+        yield None, _attempt(parse_edge_list, "\n".join(line for _, line in numbered))
+        return
+    for number, raw in numbered:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield number, _attempt(parse_graph6, line)
+
+
+def load_graphs(text: str, fmt: str = "auto") -> list[Graph]:
+    """Read one edge-list graph or any number of graph6 lines; the first
+    malformed entry raises."""
+    graphs = []
+    for _, entry in iter_entries(text.splitlines(), fmt):
+        if isinstance(entry, GraphFormatError):
+            raise entry
+        graphs.append(entry)
+    if not graphs:
+        raise GraphFormatError("no graph data found" if fmt == "auto"
+                               else "no graph6 lines found")
+    return graphs

@@ -114,10 +114,8 @@ def predict_pair(g: Graph, u: int, v: int) -> Prediction:
     The nonadjacent k=5 value is pinned only when the k=4 value leaves the
     domination number unchanged; otherwise it is undetermined (None).
     """
-    if u == v:
-        raise ValueError("pair must be distinct")
-    if g.n < 2:
-        raise ValueError("predictions need at least 2 vertices")
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"({u}, {v}) is not a pair of distinct vertices of a graph on {g.n}")
     if u > v:
         u, v = v, u
     gamma = domination_number(g)
@@ -160,23 +158,23 @@ def predict_pair(g: Graph, u: int, v: int) -> Prediction:
 def predict_adjacent(g: Graph, u: int, v: int, k: int) -> int:
     """Predicted domination number after inserting k internal path vertices
     between the adjacent pair u, v (k in 1..3)."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge; use predict_nonadjacent")
     if k not in (1, 2, 3):
         raise ValueError("adjacent predictions cover k in 1..3 only")
-    return predict_pair(g, u, v).gamma_values[k]
+    pred = predict_pair(g, u, v)
+    if not pred.adjacent:
+        raise ValueError(f"({u}, {v}) is not an edge; use predict_nonadjacent")
+    return pred.gamma_values[k]
 
 
 def predict_nonadjacent(g: Graph, u: int, v: int, k: int) -> int | None:
     """Predicted domination number after inserting k internal path vertices
     between the nonadjacent pair u, v (k in 1..5; None where undetermined)."""
-    if g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is an edge; use predict_adjacent")
-    if u == v:
-        raise ValueError("pair must be distinct")
     if k not in (1, 2, 3, 4, 5):
         raise ValueError("nonadjacent predictions cover k in 1..5 only")
-    return predict_pair(g, u, v).gamma_values[k]
+    pred = predict_pair(g, u, v)
+    if pred.adjacent:
+        raise ValueError(f"({u}, {v}) is an edge; use predict_adjacent")
+    return pred.gamma_values[k]
 
 
 def predict_path_addition_number(g: Graph, u: int, v: int) -> int:

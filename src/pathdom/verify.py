@@ -26,10 +26,9 @@ from .domination import (
     independent_domination_number,
     is_dominating,
     minimum_dominating_set,
-    minimum_dominating_sets,
 )
 from .families import generate_family, parse_family_spec
-from .formats import GraphFormatError, detect_format, emit_graph6, load_graphs
+from .formats import GraphFormatError, emit_graph6, iter_entries
 from .graphs import Graph, enumerate_labeled_graphs, from_edge_mask, subdivide_edge
 from .path_addition import (
     INFINITE,
@@ -150,8 +149,10 @@ def random_graph(n: int, edge_probability: float, rng: random.Random) -> Graph:
     return from_edge_mask(n, mask)
 
 
-def iter_corpus(spec: CorpusSpec):
-    """Yield (index, graph) pairs; deterministic for a fixed spec."""
+def _entries(spec: CorpusSpec):
+    """Yield (index, line, entry) one at a time: ``entry`` is a Graph or a
+    malformed file entry's GraphFormatError, ``line`` a graph6 file entry's
+    line number (else None); indices count malformed entries too."""
     if spec.mode == "exhaustive":
         if spec.n_max > spec.cap:
             # fail before iterating, not after grinding through smaller n
@@ -162,7 +163,7 @@ def iter_corpus(spec: CorpusSpec):
         idx = 0
         for n in range(spec.n_min, spec.n_max + 1):
             for g in enumerate_labeled_graphs(n, spec.connected_only, cap=spec.cap):
-                yield idx, g
+                yield idx, None, g
                 idx += 1
     elif spec.mode == "random":
         if spec.n < 0 or spec.count < 1 or not 0 <= spec.edge_probability <= 1:
@@ -187,48 +188,36 @@ def iter_corpus(spec: CorpusSpec):
                     )
                 continue
             rejected = 0
-            yield produced, g
+            yield produced, None, g
             produced += 1
     elif spec.mode == "file":
-        with open(spec.path, "r", encoding="ascii") as fh:
-            text = fh.read()
-        for idx, g in enumerate(load_graphs(text, spec.fmt)):
-            yield idx, g
+        with open(spec.path, "r", encoding="ascii", errors="replace") as fh:
+            for idx, (line, entry) in enumerate(iter_entries(fh, spec.fmt)):
+                yield idx, line, entry
     elif spec.mode == "family":
         for idx, text in enumerate(spec.families):
-            yield idx, generate_family(parse_family_spec(text))
+            yield idx, None, generate_family(parse_family_spec(text))
     else:
         raise ValueError(f"unknown corpus mode {spec.mode!r}")
 
 
-def _load_file_corpus_tolerant(spec: CorpusSpec):
-    """File corpora keep going past malformed entries, recording them."""
-    graphs, errors = [], []
-    with open(spec.path, "r", encoding="ascii", errors="replace") as fh:
-        text = fh.read()
-    fmt = spec.fmt
-    if fmt == "auto":
-        try:
-            fmt = detect_format(text)
-        except GraphFormatError:  # no graph data: an empty corpus, never PASS
-            fmt = "graph6"
-    if fmt == "edgelist":
-        try:
-            graphs.append((0, load_graphs(text, "edgelist")[0]))
-        except GraphFormatError as exc:
-            errors.append({"entry": 0, "error": str(exc)})
-        return graphs, errors
-    idx = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            graphs.append((idx, load_graphs(line, "graph6")[0]))
-        except GraphFormatError as exc:
-            errors.append({"entry": idx, "line": lineno, "error": str(exc)})
-        idx += 1
-    return graphs, errors
+def iter_corpus(spec: CorpusSpec):
+    """Yield (index, graph) pairs; deterministic for a fixed spec.  A
+    malformed entry of a file corpus raises its GraphFormatError."""
+    for idx, _, entry in _entries(spec):
+        if isinstance(entry, GraphFormatError):
+            raise entry
+        yield idx, entry
+
+
+def _graphs(spec: CorpusSpec, input_errors: list):
+    """The corpus graphs; each malformed entry goes to ``input_errors``."""
+    for idx, line, entry in _entries(spec):
+        if isinstance(entry, GraphFormatError):
+            at = {"entry": idx} if line is None else {"entry": idx, "line": line}
+            input_errors.append({**at, "error": str(entry)})
+        else:
+            yield entry
 
 
 # -- suites --------------------------------------------------------------------
@@ -455,36 +444,40 @@ def suite_vertex_deletion(g: Graph, expect):
                        pair=(v, w))
 
 
-def _naive_gamma(g: Graph) -> int:
-    """Independent oracle: test all subsets in ascending size order."""
+def _brute_minimum_sets(g: Graph) -> list[frozenset[int]]:
+    """Independent reference: every dominating subset of the least size that
+    has one, scanning sizes in ascending order; lexicographically ordered."""
     full = (1 << g.n) - 1
     for size in range(g.n + 1):
+        sets = []
         for comb in combinations(range(g.n), size):
             dom = 0
             for v in comb:
                 dom |= g.closed[v]
             if dom == full:
-                return size
+                sets.append(frozenset(comb))
+        if sets:
+            return sets
     raise AssertionError("unreachable: the full vertex set dominates")
 
 
 @_suite(skip=lambda g: g.n > NAIVE_CROSS_CHECK_MAX_N)
 def suite_solver_cross_check(g: Graph, expect):
-    """Branch-and-bound agrees with the ascending-subsets oracle (small n),
-    and the derived domination machinery is self-consistent."""
+    """Branch-and-bound agrees with the ascending-subsets reference (small
+    n), and the derived domination machinery is self-consistent."""
     gamma = domination_number(g)
-    naive = _naive_gamma(g)
+    sets = _brute_minimum_sets(g)
+    naive = len(sets[0])
     expect(gamma == naive, "gamma-vs-naive", naive, gamma)
     wit = minimum_dominating_set(g)
     expect(is_dominating(g, wit) and len(wit) == gamma, "witness-valid",
            f"dominating set of size {gamma}", sorted(wit))
     expect(constrained_domination_number(g) == gamma, "unconstrained-equals-gamma",
            gamma, constrained_domination_number(g))
-    sets = minimum_dominating_sets(g)
     expect(all(is_dominating(g, s) and len(s) == gamma for s in sets),
            "enumerated-sets-valid", "all dominating at size gamma", len(sets))
     rep = classify_vertices(g)
-    in_some = set().union(*sets) if sets else set()
+    in_some = set().union(*sets)
     expect(all(rep.good[v] == (v in in_some) for v in range(g.n)),
            "good-matches-enumeration", "agreement", rep.good)
     brute = all(g.is_independent_set(s) for s in sets)
@@ -649,14 +642,8 @@ def run_verification(
     counterexamples: list[dict] = []
     input_errors: list[dict] = []
 
-    if spec.mode == "file":
-        graphs, input_errors = _load_file_corpus_tolerant(spec)
-        corpus = iter(graphs)
-    else:
-        corpus = iter_corpus(spec)
-
     t_start = time.perf_counter()
-    tasks = ((g, names) for _, g in corpus)
+    tasks = ((g, names) for g in _graphs(spec, input_errors))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Executor.map submits its whole input before yielding a result,

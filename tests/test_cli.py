@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from pathdom import cli
 from pathdom.cli import main
 from pathdom.families import rook
 from pathdom.formats import emit_graph6
@@ -57,6 +58,24 @@ class TestSingleGraphCommands:
 
     def test_pa_bad_pair(self, p4_file, capsys):
         assert main(["pa", p4_file, "-u", "0", "-v", "9"]) == 2
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_pa_mismatch_is_exit_1_after_every_graph(self, monkeypatch, capsys, json_flag):
+        predict = cli.predict_pair
+
+        def off_by_one(g, u, v):
+            pred = predict(g, u, v)
+            pred.pa += 1
+            return pred
+
+        monkeypatch.setattr(cli, "predict_pair", off_by_one)
+        assert run_cli(["pa", *json_flag, "-u", "0", "-v", "1"], "Ch\nC~\n", monkeypatch) == 1
+        captured = capsys.readouterr()
+        if json_flag:
+            assert '"graph6": "Ch"' in captured.out and '"graph6": "C~"' in captured.out
+        else:
+            assert captured.out.count("pair (0, 1)") == 2
+        assert captured.err.count("MISMATCH") == 2
 
     def test_profile_json(self, capsys, monkeypatch):
         assert run_cli(["profile", "--json"], emit_graph6(rook(3)) + "\n",
@@ -182,6 +201,13 @@ class TestVerify:
         assert main(["verify", "--mode", "file", "--file", str(empty)]) == 2
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "no graph" in captured.err
+
+    def test_all_entries_malformed_names_the_first_error(self, tmp_path, capsys):
+        short = tmp_path / "short.edges"
+        short.write_text("4 4\n0 1\n1 2\n")
+        assert main(["verify", "--mode", "file", "--file", str(short)]) == 2
+        err = capsys.readouterr().err
+        assert "no graph" in err and "header declares 4 edges but 2 pairs follow" in err
 
     @pytest.mark.parametrize(
         "argv, env, named",

@@ -16,7 +16,6 @@ from pathdom.domination import (
     independent_domination_number,
     is_dominating,
     minimum_dominating_set,
-    minimum_dominating_sets,
     private_neighbors,
     shares_minimum_set,
 )
@@ -33,7 +32,7 @@ from pathdom.families import (
 )
 from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs, mask_of
 from pathdom.path_addition import add_path
-from pathdom.verify import random_graph
+from pathdom.verify import _brute_minimum_sets, random_graph
 
 from .conftest import graphs, naive_gamma, naive_independent_gamma, reference_solve
 
@@ -122,17 +121,17 @@ class TestConstrained:
 
 class TestEnumeration:
     def test_k3_singletons(self):
-        assert minimum_dominating_sets(complete(3)) == [
+        assert _brute_minimum_sets(complete(3)) == [
             frozenset({0}), frozenset({1}), frozenset({2})
         ]
 
     def test_c6(self):
-        assert [sorted(s) for s in minimum_dominating_sets(cycle(6))] == [
+        assert [sorted(s) for s in _brute_minimum_sets(cycle(6))] == [
             [0, 3], [1, 4], [2, 5]
         ]
 
     def test_p4(self):
-        assert [sorted(s) for s in minimum_dominating_sets(path(4))] == [
+        assert [sorted(s) for s in _brute_minimum_sets(path(4))] == [
             [0, 2], [0, 3], [1, 2], [1, 3]
         ]
 
@@ -162,7 +161,7 @@ class TestClassify:
     @given(graphs(max_n=5))
     def test_good_matches_set_enumeration(self, g):
         rep = classify_vertices(g)
-        union = set().union(*minimum_dominating_sets(g)) if g.n else set()
+        union = set().union(*_brute_minimum_sets(g)) if g.n else set()
         assert all(rep.good[v] == (v in union) for v in range(g.n))
 
     @settings(max_examples=60, deadline=None)
@@ -179,7 +178,7 @@ class TestClassify:
     @given(graphs(max_n=5))
     def test_strong_equality_two_routes(self, g):
         rep = classify_vertices(g)
-        brute = all(g.is_independent_set(s) for s in minimum_dominating_sets(g))
+        brute = all(g.is_independent_set(s) for s in _brute_minimum_sets(g))
         assert rep.strong_equality == brute
 
     def test_cycle30_without_set_enumeration(self):
@@ -272,7 +271,7 @@ class TestSetShapePredicates:
     @settings(max_examples=80, deadline=None)
     @given(graphs(max_n=6))
     def test_predicates_match_enumeration(self, g):
-        sets = minimum_dominating_sets(g)
+        sets = _brute_minimum_sets(g)
         assert all_minimum_sets_cliques(g) == all(g.is_clique(s) for s in sets)
         efficient = all(sum(g.closed[v].bit_count() for v in s) == g.n for s in sets)
         assert all_minimum_sets_efficient(g) == efficient
@@ -281,7 +280,7 @@ class TestSetShapePredicates:
     @given(graphs(min_n=2, max_n=6), st.data())
     def test_shares_minimum_set_matches_enumeration(self, g, data):
         u, v = data.draw(st.sampled_from(list(combinations(range(g.n), 2))))
-        brute = any(u in s and v in s for s in minimum_dominating_sets(g))
+        brute = any(u in s and v in s for s in _brute_minimum_sets(g))
         assert shares_minimum_set(g, u, v) == brute
 
 

@@ -8,6 +8,7 @@ from pathdom.formats import (
     detect_format,
     emit_edge_list,
     emit_graph6,
+    iter_entries,
     load_graphs,
     parse_edge_list,
     parse_graph6,
@@ -132,3 +133,34 @@ class TestLoadGraphs:
     def test_single_edgelist(self):
         gs = load_graphs("3 1\n0 2\n")
         assert gs == [Graph(3, [(0, 2)])]
+
+
+class TestIterEntries:
+    def test_graph6_entries_keep_their_line_numbers(self):
+        entries = list(iter_entries(["# head", "", "C~", "not!a!graph", "  Ch  "]))
+        assert [number for number, _ in entries] == [3, 4, 5]
+        assert entries[0][1] == complete(4) and entries[2][1] == path(4)
+        assert isinstance(entries[1][1], GraphFormatError)
+
+    def test_edge_list_is_one_entry_numbered_none(self):
+        assert list(iter_entries(["# c", "3 1", "0 2"])) == [(None, Graph(3, [(0, 2)]))]
+        ((number, err),) = iter_entries(["4 4", "0 1"])
+        assert number is None and "header declares 4 edges" in str(err)
+
+    def test_no_graph_data_is_no_entry(self):
+        assert list(iter_entries(["", "# nothing"])) == []
+        assert list(iter_entries([])) == []
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown format"):
+            list(iter_entries(["C~"], "sparse6"))
+
+    def test_open_file_reads_like_splitlines(self, tmp_path):
+        text = "C~\r\n\nCh\x0cC~\n# c\nnot!a!graph\nBw"
+        p = tmp_path / "mixed.g6"
+        p.write_bytes(text.encode("ascii"))
+        with open(p, encoding="ascii") as fh:
+            from_file = [(n, str(e)) for n, e in iter_entries(fh)]
+        with open(p, encoding="ascii") as fh:
+            from_text = [(n, str(e)) for n, e in iter_entries(fh.read().splitlines())]
+        assert from_file == from_text and [n for n, _ in from_file] == [1, 3, 4, 6, 7]

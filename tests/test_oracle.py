@@ -41,6 +41,25 @@ def k3_union_k3():
     return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
+
+@pytest.mark.parametrize(
+    "g, u, v",
+    [(path(4), -1, 2), (path(4), 2, -1), (cycle(6), 0, 9), (cycle(6), 6, 0),
+     (path(4), 2, 2), (Graph(1), 0, 1)],
+    ids=["negative-u", "negative-v", "v-past-n", "u-equals-n", "same-vertex", "one-vertex"],
+)
+@pytest.mark.parametrize(
+    "predict",
+    [predict_pair, predict_path_addition_number,
+     lambda g, u, v: predict_adjacent(g, u, v, 1),
+     lambda g, u, v: predict_nonadjacent(g, u, v, 1)],
+    ids=["pair", "pa", "adjacent", "nonadjacent"],
+)
+def test_pair_outside_the_graph_is_rejected(predict, g, u, v):
+    with pytest.raises(ValueError):
+        predict(g, u, v)
+
+
 class TestPredictAdjacent:
     def test_p4_middle_k2_stays(self):
         assert predict_adjacent(path(4), 1, 2, 2) == 2

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from pathdom import verify
+from pathdom import formats, verify
 from pathdom.families import crown, path, star
-from pathdom.formats import emit_graph6, parse_graph6
+from pathdom.formats import GraphFormatError, emit_graph6, parse_graph6
 from pathdom.graphs import Graph
 from pathdom.verify import (
     SUITES,
@@ -80,6 +80,14 @@ class TestCorpus:
         p.write_text("# square\n4 4\n0 1\n1 2\n2 3\n3 0\n")
         gs = [g for _, g in iter_corpus(CorpusSpec.from_file(str(p)))]
         assert len(gs) == 1 and gs[0].edge_count == 4
+
+    def test_file_mode_raises_at_a_malformed_line(self, tmp_path):
+        p = tmp_path / "corpus.g6"
+        p.write_text("C~\nnot!a!graph\nCh\n")
+        corpus = iter_corpus(CorpusSpec.from_file(str(p)))
+        assert next(corpus)[1].n == 4  # entries stream: the good line comes first
+        with pytest.raises(GraphFormatError, match="outside graph6 range"):
+            next(corpus)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -163,6 +171,22 @@ class TestRunner:
         assert len(report.input_errors) == 1
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "name, text, errors",
+        [("corpus.g6", "C~\n\n# note\nnot!a!graph\n  Ch\n\xe9\n",
+          [{"entry": 1, "line": 4, "error": "character '!' outside graph6 range 63..126 (byte 3)"},
+           {"entry": 3, "line": 6,
+            "error": "character '\ufffd' outside graph6 range 63..126 (byte 0)"}]),
+         ("short.edges", "4 4\n0 1\n1 2\n",
+          [{"entry": 0, "error": "header declares 4 edges but 2 pairs follow"}])],
+        ids=["graph6", "edge-list"],
+    )
+    def test_input_error_records(self, tmp_path, name, text, errors):
+        p = tmp_path / name
+        p.write_text(text, encoding="latin-1")
+        report = run_verification(CorpusSpec.from_file(str(p)), ["chains"])
+        assert report.input_errors == errors
+
     @pytest.mark.parametrize("text", ["", "# no graphs here\n"])
     def test_zero_graphs_never_pass(self, tmp_path, text):
         p = tmp_path / "empty.g6"
@@ -209,9 +233,10 @@ class TestRunner:
         suites = ["chains", "vertex-deletion"]
         seq = run_verification(spec, suites).to_json(include_volatile=False)
         drawn = []
+        entries = verify._entries
 
         def counting_corpus(spec):
-            for item in iter_corpus(spec):
+            for item in entries(spec):
                 drawn.append(item)
                 yield item
 
@@ -223,13 +248,41 @@ class TestRunner:
             fold(*args)
 
         monkeypatch.setattr(verify, "POOL_WINDOW", window)
-        monkeypatch.setattr(verify, "iter_corpus", counting_corpus)
+        monkeypatch.setattr(verify, "_entries", counting_corpus)
         monkeypatch.setattr(verify, "_fold", watched_fold)
         monkeypatch.setenv("PATHDOM_WORKERS", "2")
         par = run_verification(spec, suites).to_json(include_volatile=False)
         assert folded_after[0] <= window
         assert len(drawn) == len(folded_after) == 76
         assert par == seq
+
+    @pytest.mark.parametrize("workers, bound", [("1", 1), ("2", 8)])
+    def test_file_corpus_streams(self, tmp_path, monkeypatch, workers, bound):
+        window = 8
+        p = tmp_path / "corpus.g6"
+        p.write_text("".join(emit_graph6(g) + "\n" for _, g in iter_corpus(CorpusSpec.exhaustive(4))))
+        spec = CorpusSpec.from_file(str(p))
+        suites = ["chains", "vertex-deletion"]
+        seq = run_verification(spec, suites).to_json(include_volatile=False)
+        parsed, folded_after = [], []
+        parse, fold = formats.parse_graph6, verify._fold
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        def watched_fold(*args):
+            folded_after.append(len(parsed))
+            fold(*args)
+
+        monkeypatch.setattr(formats, "parse_graph6", counting_parse)
+        monkeypatch.setattr(verify, "POOL_WINDOW", window)
+        monkeypatch.setattr(verify, "_fold", watched_fold)
+        monkeypatch.setenv("PATHDOM_WORKERS", workers)
+        report = run_verification(spec, suites).to_json(include_volatile=False)
+        assert folded_after[0] <= bound
+        assert len(parsed) == len(folded_after) == 76
+        assert report == seq
 
     def test_non_integer_workers_is_a_clear_error(self, monkeypatch):
         monkeypatch.setenv("PATHDOM_WORKERS", "abc")
