@@ -236,10 +236,6 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_counterexamples < 0:
-        raise ValueError(
-            f"--max-counterexamples must be >= 0, got {args.max_counterexamples}"
-        )
     if args.mode == "exhaustive":
         n_min, n_max = _parse_n_range(args.n)
         spec = CorpusSpec(mode="exhaustive", n_min=n_min, n_max=n_max,

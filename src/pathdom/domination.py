@@ -16,7 +16,11 @@ node is cut only when it cannot beat the incumbent, so any admissible
 bound, however computed, yields the same witnesses.  The same search answers
 constrained queries (forced and forbidden vertices), vertex deletions
 without relabeling, and independent domination; ``shares_minimum_set``
-is the pair relation behind the minimum-set shape predicates.
+is the pair relation behind the minimum-set shape predicates.  Every
+kernel answer is memoised once, in ``_search``, and every report of
+``classify_vertices`` in ``_classify``.  Both caches are private, so a tracer
+that rebinds the public functions leaves them to ``clear_caches``, and
+``CACHE_SIZE`` bounds both.
 """
 
 from dataclasses import dataclass
@@ -195,29 +199,23 @@ def _solve(
     return None if best[1] is None else (best[0], best[1])
 
 
-@lru_cache(maxsize=None)
-def _gamma_witness(g: Graph) -> tuple[int, int]:
-    size, mask = _solve(g.closed, g.n)
-    return size, mask
+# one graph's work makes at most 2,220 distinct queries, so nothing is evicted
+CACHE_SIZE = 1 << 13
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _search(g: Graph, include: int, exclude: int, drop: int, independent: bool):
+    """Memoised kernel answer; pass all five arguments positionally (one key)."""
+    return _solve(g.closed, g.n, include, exclude, drop, g.nbr if independent else None)
 
 
 def domination_number(g: Graph) -> int:
-    return _gamma_witness(g)[0]
+    return _search(g, 0, 0, 0, False)[0]
 
 
 def minimum_dominating_set(g: Graph) -> frozenset[int]:
     """A deterministic witness minimum dominating set."""
-    return set_of(_gamma_witness(g)[1])
-
-
-@lru_cache(maxsize=None)
-def _constrained(g: Graph, include: int, exclude: int, drop: int):
-    if include & exclude:
-        raise ValueError("include and exclude overlap")
-    if include & drop:
-        raise ValueError("include and delete overlap")
-    res = _solve(g.closed, g.n, include, exclude, drop)
-    return None if res is None else res[0]
+    return set_of(_search(g, 0, 0, 0, False)[1])
 
 
 def constrained_domination_number(
@@ -230,9 +228,15 @@ def constrained_domination_number(
     contain ``include`` and avoid ``exclude``; None when no such set exists
     (infeasible queries are ordinary data, not errors).  Labels stay those
     of g: the deleted vertices are simply ignored, never relabeled."""
-    return _constrained(
-        g, _checked_mask(g, include), _checked_mask(g, exclude), _checked_mask(g, delete)
-    )
+    inc = _checked_mask(g, include)
+    exc = _checked_mask(g, exclude)
+    drop = _checked_mask(g, delete)
+    if inc & exc:
+        raise ValueError("include and exclude overlap")
+    if inc & drop:
+        raise ValueError("include and delete overlap")
+    res = _search(g, inc, exc, drop, False)
+    return None if res is None else res[0]
 
 
 def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
@@ -240,10 +244,9 @@ def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
     return constrained_domination_number(g, include=(u, v)) == domination_number(g)
 
 
-@lru_cache(maxsize=None)
 def independent_domination_number(g: Graph) -> int:
     """Minimum size of an independent dominating set (always exists)."""
-    return _solve(g.closed, g.n, conflict=g.nbr)[0]
+    return _search(g, 0, 0, 0, True)[0]
 
 
 def private_neighbors(g: Graph, x: int, group: Iterable[int]) -> frozenset[int]:
@@ -261,12 +264,16 @@ def private_neighbors(g: Graph, x: int, group: Iterable[int]) -> frozenset[int]:
     return set_of(g.closed[x] & ~others)
 
 
-@lru_cache(maxsize=None)
 def classify_vertices(g: Graph) -> DominationReport:
-    gamma, witness_mask = _gamma_witness(g)
-    # good via constrained search (forcing v in), not via set enumeration
-    good = tuple(_constrained(g, 1 << v, 0, 0) == gamma for v in range(g.n))
-    critical = tuple(_constrained(g, 0, 0, 1 << v) == gamma - 1 for v in range(g.n))
+    return _classify(g)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _classify(g: Graph) -> DominationReport:
+    gamma, witness_mask = _search(g, 0, 0, 0, False)
+    # good via constrained search (forcing v in); neither query is infeasible
+    good = tuple(_search(g, 1 << v, 0, 0, False)[0] == gamma for v in range(g.n))
+    critical = tuple(_search(g, 0, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n))
     return DominationReport(
         gamma=gamma,
         witness=set_of(witness_mask),
@@ -296,15 +303,7 @@ def all_minimum_sets_cliques(g: Graph) -> bool:
     return not any(shares_minimum_set(g, u, v) for u, v in g.non_edges())
 
 
-_CACHED = (
-    _gamma_witness,
-    _constrained,
-    independent_domination_number,
-    classify_vertices,
-)
-
-
 def clear_caches() -> None:
-    """Drop all per-graph memoization (bounded-memory corpus runs)."""
-    for fn in _CACHED:
-        fn.cache_clear()
+    """Drop all per-graph memoization; corpus runs call it once per graph."""
+    _search.cache_clear()
+    _classify.cache_clear()

@@ -539,8 +539,6 @@ class VerificationReport:
     timing: dict = field(default_factory=dict)
     timestamp: str = ""
 
-    VOLATILE_FIELDS = ("timing", "timestamp")
-
     def to_json_dict(self, include_volatile: bool = True) -> dict:
         d = {
             "schema": SCHEMA,
@@ -608,7 +606,7 @@ def _jsonable(value):
 def _eval_graph(args):
     g, names = args
     clear_caches()
-    g6 = emit_graph6(g)
+    g6 = None  # only failure records name the graph, so encode on demand
     out = []
     for name in names:
         t0 = time.perf_counter()
@@ -619,6 +617,8 @@ def _eval_graph(args):
             fails = [{"check": "suite-error", "error": f"{type(exc).__name__}: {exc}"}]
         dt = time.perf_counter() - t0
         fails = [_jsonable(f) for f in fails]
+        if fails and g6 is None:
+            g6 = emit_graph6(g)
         for f in fails:
             f["suite"] = name
             f["graph6"] = g6
@@ -630,11 +630,19 @@ def run_verification(
     spec: CorpusSpec, suites=("all",), max_counterexamples: int = 25
 ) -> VerificationReport:
     names = _resolve_suites(suites)
+    if max_counterexamples < 0:
+        raise ValueError(
+            f"--max-counterexamples must be >= 0, got {max_counterexamples}"
+        )
     raw_workers = os.environ.get(WORKERS_ENV, "1") or "1"
     try:
         workers = int(raw_workers)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw_workers!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw_workers!r}")
+    # Executor forks all its workers at once: never ask for more than the cores
+    workers = min(workers, os.cpu_count() or 1)
     stats = {
         name: {"graphs": 0, "checks": 0, "failures": 0} for name in names
     }

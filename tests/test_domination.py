@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from pathdom import domination
 from pathdom.domination import (
-    _gamma_witness,
+    CACHE_SIZE,
+    _classify,
+    _search,
     _solve,
     all_minimum_sets_cliques,
     all_minimum_sets_efficient,
     classify_vertices,
+    clear_caches,
     constrained_domination_number,
     domination_number,
     independent_domination_number,
@@ -307,4 +311,45 @@ class TestKernelMatchesReference:
         for u, v in combinations(range(g.n), 2):
             for k in range(1, 6):
                 h = add_path(g, u, v, k)
-                assert _gamma_witness(h) == reference_solve(h.closed, h.n)
+                assert _search(h, 0, 0, 0, False) == reference_solve(h.closed, h.n)
+
+
+class TestMemo:
+    """Every kernel answer lives in one bounded memo, ``_search``;
+    ``classify_vertices`` reads the only other cache, ``_classify``."""
+
+    def test_one_query_is_one_entry(self):
+        clear_caches()
+        g = cycle(7)
+        assert domination_number(g) == constrained_domination_number(g) == 3
+        assert _search.cache_info().currsize == 1
+
+    def test_overlap_is_rejected_before_the_lookup(self):
+        clear_caches()
+        with pytest.raises(ValueError, match="include and delete overlap"):
+            constrained_domination_number(path(3), include=[0], delete=[0])
+        assert _search.cache_info().currsize == 0
+
+    def test_library_loop_stays_bounded(self):
+        clear_caches()
+        for g in enumerate_labeled_graphs(6):  # 32,768 graphs, never cleared
+            classify_vertices(g)
+        for cached in (_search, _classify):
+            info = cached.cache_info()
+            assert info.maxsize == CACHE_SIZE
+            assert info.misses > CACHE_SIZE >= info.currsize
+        clear_caches()
+
+    def test_clear_caches_empties_both(self):
+        classify_vertices(cycle(6))
+        clear_caches()
+        assert _search.cache_info().currsize == _classify.cache_info().currsize == 0
+
+    def test_clear_caches_survives_rebound_public_names(self, monkeypatch):
+        # a tracer replaces public functions with plain wrappers
+        for name in ("classify_vertices", "domination_number"):
+            fn = getattr(domination, name)
+            monkeypatch.setattr(domination, name, lambda g, fn=fn: fn(g))
+        domination.classify_vertices(cycle(6))
+        domination.clear_caches()
+        assert _search.cache_info().currsize == _classify.cache_info().currsize == 0

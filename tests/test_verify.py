@@ -289,6 +289,59 @@ class TestRunner:
         with pytest.raises(ValueError, match="PATHDOM_WORKERS"):
             run_verification(CorpusSpec.exhaustive(2), ["chains"])
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_workers_below_one_is_a_clear_error(self, monkeypatch, raw):
+        monkeypatch.setenv("PATHDOM_WORKERS", raw)
+        with pytest.raises(ValueError, match="PATHDOM_WORKERS"):
+            run_verification(CorpusSpec.exhaustive(2), ["chains"])
+
+    @pytest.mark.parametrize("cores, pools", [(4, [4]), (None, [])])
+    def test_workers_are_capped_at_the_core_count(self, monkeypatch, cores, pools):
+        spec = CorpusSpec.exhaustive(3)
+        suites = ["chains", "vertex-deletion"]
+        seq = run_verification(spec, suites).to_json(include_volatile=False)
+        asked = []
+
+        class InProcessPool:  # records the request and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("PATHDOM_WORKERS", "100000")
+        par = run_verification(spec, suites).to_json(include_volatile=False)
+        assert asked == pools and par == seq
+
+    def test_negative_counterexample_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="--max-counterexamples"):
+            run_verification(CorpusSpec.exhaustive(2), ["chains"], max_counterexamples=-1)
+
+    def test_graph6_is_emitted_only_for_failing_graphs(self, monkeypatch):
+        emitted = []
+
+        def counting_emit(g):
+            emitted.append(g)
+            return emit_graph6(g)
+
+        monkeypatch.setattr(verify, "emit_graph6", counting_emit)
+        passing = run_verification(CorpusSpec.exhaustive(4), ["chains", "vertex-deletion"])
+        assert passing.passed and emitted == []
+        for name in ("chains", "subdivision"):
+            monkeypatch.setitem(SUITES, name, lambda g: (1, [{"check": "x"}]))
+        failing = run_verification(CorpusSpec.from_families(["path(4)"]),
+                                   ["chains", "subdivision"])
+        assert emitted == [path(4)]
+        assert [ce["graph6"] for ce in failing.counterexamples] == [emit_graph6(path(4))] * 2
+
 
 def test_oracle_equivalence_skips_tiny_graphs():
     from pathdom.graphs import Graph
