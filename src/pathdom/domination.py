@@ -23,10 +23,9 @@ that rebinds the public functions leaves them to ``clear_caches``, and
 ``CACHE_SIZE`` bounds both.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, bits, mask_of, set_of
 
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(NamedTuple):
     """Everything the characterization layer needs to know about one graph.
 
     good[v] / bad[v] say whether v belongs to some / no minimum dominating

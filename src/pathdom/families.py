@@ -6,8 +6,7 @@ dense 0-indexed vertex labels.
 """
 
 import re
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .graphs import Graph
 
@@ -165,8 +164,7 @@ _SIMPLE = {
 _GRAPH_ARGS = {"corona": (corona, 1), "join": (join, 2), "cartesian_product": (cartesian_product, 2)}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A named family plus its parameters.
 
     ``params`` holds ints, except for corona/join/cartesian_product whose
@@ -176,7 +174,7 @@ class FamilySpec:
 
     family: str
     params: tuple = ()
-    distances: frozenset[int] = field(default_factory=frozenset)
+    distances: frozenset[int] = frozenset()
 
     def __str__(self) -> str:
         if self.family == "circulant":

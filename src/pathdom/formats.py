@@ -8,7 +8,7 @@ list format is a "n m" header line followed by one "u v" pair per line,
 
 from itertools import chain
 
-from .graphs import Graph, from_edge_mask, edge_mask
+from .graphs import Graph, edge_mask
 
 __all__ = [
     "GraphFormatError",
@@ -23,6 +23,8 @@ __all__ = [
 
 _G6_HEADER = ">>graph6<<"
 _MAX_N = 1 << 36
+# each graph6 character as its six bits, most significant first
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 class GraphFormatError(ValueError):
@@ -63,42 +65,46 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    vals = []
-    for i, ch in enumerate(s):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise GraphFormatError(f"character {ch!r} outside graph6 range 63..126", i)
-        vals.append(c - 63)
+    if min(s) < "?" or max(s) > "~":
+        i, ch = next((i, ch) for i, ch in enumerate(s) if not "?" <= ch <= "~")
+        raise GraphFormatError(f"character {ch!r} outside graph6 range 63..126", i)
 
     # vertex count: 1 char (n <= 62), '~' + 3 chars, or '~~' + 6 chars
-    if vals[0] < 63:
-        n, pos = vals[0], 1
-    elif len(vals) >= 2 and vals[1] < 63:
-        if len(vals) < 4:
+    if s[0] != "~":
+        n, pos = ord(s[0]) - 63, 1
+    elif len(s) >= 2 and s[1] != "~":
+        if len(s) < 4:
             raise GraphFormatError("truncated vertex count", len(s))
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        pos = 4
+        n, pos = int(s[1:4].translate(_G6_BITS), 2), 4
     else:
-        if len(vals) < 8:
+        if len(s) < 8:
             raise GraphFormatError("truncated vertex count", len(s))
-        n = 0
-        for v in vals[2:8]:
-            n = n << 6 | v
-        pos = 8
+        n, pos = int(s[2:8].translate(_G6_BITS), 2), 8
 
     npairs = n * (n - 1) // 2
     nchars = (npairs + 5) // 6
-    if len(vals) - pos != nchars:
+    if len(s) - pos != nchars:
         raise GraphFormatError(
-            f"expected {nchars} adjacency characters for n={n}, got {len(vals) - pos}",
+            f"expected {nchars} adjacency characters for n={n}, got {len(s) - pos}",
             pos,
         )
-    mask = 0
-    for i in range(npairs):
-        chunk = vals[pos + i // 6]
-        if chunk >> (5 - i % 6) & 1:
-            mask |= 1 << i
-    return from_edge_mask(n, mask)
+    # the body's bits run in colex pair order, so reversed they are the colex
+    # edge mask (padding lands above every row); vertex v's lower row is the
+    # v bits after the first v(v-1)/2, and each of its edges also goes into
+    # the other endpoint's row
+    colex = int(s[pos:].translate(_G6_BITS)[::-1] or "0", 2)
+    masks = [0] * n
+    start = 0
+    for v in range(1, n):
+        row = colex >> start & ((1 << v) - 1)
+        start += v
+        masks[v] = row
+        vbit = 1 << v
+        while row:
+            low = row & -row
+            masks[low.bit_length() - 1] |= vbit
+            row ^= low
+    return Graph._from_trusted_masks(n, tuple(masks))
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -10,7 +10,7 @@ Clause labels returned with predictions are stable strings of the form
 "adjacent:k2:no-shared-set-no-critical" and are safe to diff across versions.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domination import (
     all_minimum_sets_cliques,
@@ -95,8 +95,7 @@ _CLAUSES = {
 }
 
 
-@dataclass
-class Prediction:
+class Prediction(NamedTuple):
     """Full per-pair prediction: gamma after each covered k, the pair's
     path addition number, and the clause that fixed it."""
 
@@ -187,8 +186,7 @@ def predict_path_addition_number(g: Graph, u: int, v: int) -> int:
 # -- aggregates from their closed-form characterizations ----------------------
 
 
-@dataclass
-class AggregateCharacterization:
+class AggregateCharacterization(NamedTuple):
     """The four profile aggregates computed from closed forms (never from
     per-pair scans of path-added graphs), plus the rules that fired."""
 
@@ -270,8 +268,7 @@ def _characterize_max_nonadjacent(g, gamma, rep, pairs):
 REGION_TAGS = ("R0", "R1", "R2", "R3", "R4", "R5", "NotInA")
 
 
-@dataclass(frozen=True)
-class RegionClass:
+class RegionClass(NamedTuple):
     """Membership in the min-adjacent=3 taxonomy.
 
     in_a: every adjacent pair has path addition number 3 (min adjacent = 3)

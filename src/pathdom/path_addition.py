@@ -9,7 +9,6 @@ solver bug, never a valid outcome.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -84,8 +83,7 @@ def path_addition_number(g: Graph, u: int, v: int) -> int:
     )
 
 
-@dataclass
-class PaProfile:
+class PaProfile(NamedTuple):
     """Path addition numbers for every vertex pair plus the four aggregates.
 
     ``pairs`` maps (u, v) with u < v to the pair's value.  Aggregates are

@@ -11,10 +11,8 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from . import oracle
 from .domination import (
@@ -62,8 +60,7 @@ POOL_WINDOW = 512
 # -- corpora -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     """A reproducible corpus of graphs.
 
     mode "exhaustive": all labeled graphs with n_min <= n <= n_max.
@@ -529,15 +526,14 @@ DEFAULT_SUITES = tuple(name for name in SUITES if name != "max-adjacent-2")
 # -- runner --------------------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     config: dict
     suite_stats: dict
     counterexamples: list
-    input_errors: list = field(default_factory=list)
-    passed: bool = True
-    timing: dict = field(default_factory=dict)
-    timestamp: str = ""
+    input_errors: list
+    passed: bool
+    timing: dict
+    timestamp: str
 
     def to_json_dict(self, include_volatile: bool = True) -> dict:
         d = {
@@ -653,6 +649,8 @@ def run_verification(
     t_start = time.perf_counter()
     tasks = ((g, names) for g in _graphs(spec, input_errors))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Executor.map submits its whole input before yielding a result,
             # so the corpus goes in window by window to keep memory bounded
@@ -664,6 +662,8 @@ def run_verification(
             _fold(_eval_graph(task), stats, timing, counterexamples, max_counterexamples)
 
     total_failures = sum(st["failures"] for st in stats.values())
+    from datetime import datetime, timezone  # kept off the import path of every CLI call
+
     return VerificationReport(
         config={"corpus": spec.config_dict(), "suites": names,
                 "max_counterexamples": max_counterexamples},

@@ -65,8 +65,7 @@ class TestSingleGraphCommands:
 
         def off_by_one(g, u, v):
             pred = predict(g, u, v)
-            pred.pa += 1
-            return pred
+            return pred._replace(pa=pred.pa + 1)
 
         monkeypatch.setattr(cli, "predict_pair", off_by_one)
         assert run_cli(["pa", *json_flag, "-u", "0", "-v", "1"], "Ch\nC~\n", monkeypatch) == 1

@@ -56,6 +56,17 @@ class TestGraph6RoundTrip:
     def test_round_trip(self, g):
         assert parse_graph6(emit_graph6(g)) == g
 
+    @given(graphs(max_n=12))
+    def test_round_trip_to_n12(self, g):
+        s = emit_graph6(g)
+        assert parse_graph6(s) == g
+        assert emit_graph6(parse_graph6(s)) == s
+
+    def test_padding_bits_are_ignored(self):
+        # n=2 has one pair; the five padding bits of "A@" carry a stray 1
+        assert parse_graph6("A@") == Graph(2)
+        assert parse_graph6("A_") == Graph(2, [(0, 1)])
+
 
 class TestGraph6AgainstNetworkx:
     """networkx is the independent reference codec."""
@@ -67,6 +78,11 @@ class TestGraph6AgainstNetworkx:
             ref_graph.add_edges_from(g.edges())
             ref = nx.to_graph6_bytes(ref_graph, header=False).decode().strip()
             assert emit_graph6(g) == ref
+
+    def test_parse_decodes_reference_atlas(self):
+        for ref in nx.graph_atlas_g():  # every graph on at most 7 vertices
+            g = parse_graph6(nx.to_graph6_bytes(ref, header=False).decode())
+            assert g == Graph(ref.number_of_nodes(), ref.edges)
 
     @given(graphs(min_n=1, max_n=7))
     def test_parse_matches_reference(self, g):
@@ -83,7 +99,7 @@ class TestGraph6Errors:
 
     def test_character_out_of_range(self):
         with pytest.raises(GraphFormatError) as exc:
-            parse_graph6("C \t")
+            parse_graph6("C A")  # strip() would remove a trailing bad character
         assert exc.value.offset == 1
 
     def test_truncated_body(self):
@@ -97,6 +113,25 @@ class TestGraph6Errors:
     def test_truncated_count(self):
         with pytest.raises(GraphFormatError):
             parse_graph6("~A")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        ("C A", "character ' ' outside graph6 range 63..126 (byte 1)"),
+        ("C~\u00e9", "character '\u00e9' outside graph6 range 63..126 (byte 2)"),
+        ("C~\x7f", "character '\\x7f' outside graph6 range 63..126 (byte 2)"),
+        ("~A", "truncated vertex count (byte 2)"),
+        ("~", "truncated vertex count (byte 1)"),
+        ("~~??", "truncated vertex count (byte 4)"),
+        ("C", "expected 1 adjacency characters for n=4, got 0 (byte 1)"),
+        ("@@", "expected 0 adjacency characters for n=1, got 1 (byte 1)"),
+        ("~?A_", "expected 2120 adjacency characters for n=160, got 0 (byte 4)"),
+        ("~~?????C", "expected 1 adjacency characters for n=4, got 0 (byte 8)"),
+    ])
+    def test_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == message
 
 
 class TestEdgeList:

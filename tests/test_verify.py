@@ -1,4 +1,4 @@
-import dataclasses
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -316,7 +316,7 @@ class TestRunner:
                 return map(fn, items)
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setenv("PATHDOM_WORKERS", "100000")
         par = run_verification(spec, suites).to_json(include_volatile=False)
         assert asked == pools and par == seq
@@ -388,7 +388,7 @@ def _pa_plus_one(mp, g):
 def _min_adjacent_shifted(mp, g):
     orig = verify.path_addition_profile
     mp.setattr(verify, "path_addition_profile",
-               lambda g: dataclasses.replace(orig(g), min_adjacent=orig(g).min_adjacent + 1))
+               lambda g: orig(g)._replace(min_adjacent=orig(g).min_adjacent + 1))
 
 
 def _sum_bound_false(mp, g):
@@ -405,8 +405,8 @@ def _vertex_0_flipped(mp, base):
         rep = orig(g)
         if g != base:
             return rep
-        return dataclasses.replace(rep, critical=(not rep.critical[0],) + rep.critical[1:],
-                                   bad=(not rep.bad[0],) + rep.bad[1:])
+        return rep._replace(critical=(not rep.critical[0],) + rep.critical[1:],
+                            bad=(not rep.bad[0],) + rep.bad[1:])
 
     mp.setattr(verify, "classify_vertices", classify)
 
