@@ -8,7 +8,7 @@ list format is a "n m" header line followed by one "u v" pair per line,
 
 from itertools import chain
 
-from .graphs import Graph, edge_mask
+from .graphs import Graph, edge_mask, from_edge_mask
 
 __all__ = [
     "GraphFormatError",
@@ -89,22 +89,9 @@ def parse_graph6(text: str) -> Graph:
             pos,
         )
     # the body's bits run in colex pair order, so reversed they are the colex
-    # edge mask (padding lands above every row); vertex v's lower row is the
-    # v bits after the first v(v-1)/2, and each of its edges also goes into
-    # the other endpoint's row
+    # edge mask, with the padding above the last pair
     colex = int(s[pos:].translate(_G6_BITS)[::-1] or "0", 2)
-    masks = [0] * n
-    start = 0
-    for v in range(1, n):
-        row = colex >> start & ((1 << v) - 1)
-        start += v
-        masks[v] = row
-        vbit = 1 << v
-        while row:
-            low = row & -row
-            masks[low.bit_length() - 1] |= vbit
-            row ^= low
-    return Graph._from_trusted_masks(n, tuple(masks))
+    return from_edge_mask(n, colex & ((1 << npairs) - 1))
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -192,14 +192,19 @@ def from_edge_mask(n: int, mask: int) -> Graph:
     npairs = n * (n - 1) // 2
     if mask < 0 or mask >> npairs:
         raise ValueError(f"edge mask out of range for n={n}")
+    # vertex v's lower row is the v bits after the first v(v-1)/2, and each
+    # of its edges also goes into the other endpoint's row
     masks = [0] * n
-    i = 0
-    for v in range(n):
-        for u in range(v):
-            if mask >> i & 1:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            i += 1
+    start = 0
+    for v in range(1, n):
+        row = mask >> start & ((1 << v) - 1)
+        start += v
+        masks[v] = row
+        vbit = 1 << v
+        while row:
+            low = row & -row
+            masks[low.bit_length() - 1] |= vbit
+            row ^= low
     return Graph._from_trusted_masks(n, tuple(masks))
 
 
