@@ -4,15 +4,22 @@ Subcommands: gamma, classify, pa, profile, regions, verify, gen.
 Graph input is graph6 or an edge list ("-" reads standard input; the
 format is auto-detected unless --format says otherwise).  Exit status:
 0 success, 1 counterexample or assertion failure, 2 usage/input error.
+
+Each single-graph command is one row of GRAPH_COMMANDS: its answer for a
+graph is exactly what --json prints, and its text view is rendered from
+that same answer.
 """
 
 import argparse
+import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .domination import classify_vertices, domination_number, minimum_dominating_set
 from .families import generate_family, parse_family_spec
-from .formats import GraphFormatError, emit_edge_list, emit_graph6, load_graphs
+from .formats import GraphFormatError, emit_edge_list, emit_graph6, jsonable, load_graphs
+from .graphs import DEFAULT_ENUMERATION_CAP
 from .oracle import classify_regions, predict_pair
 from .path_addition import path_addition_number, path_addition_profile
 from .verify import CorpusSpec, DEFAULT_SUITES, SUITES, run_verification
@@ -29,11 +36,131 @@ def _read_graphs(path: str, fmt: str):
     return load_graphs(text, fmt)
 
 
-def _add_input_args(p):
-    p.add_argument("file", nargs="?", default="-",
-                   help="graph file, '-' for standard input (default)")
-    p.add_argument("--format", choices=("auto", "graph6", "edgelist"),
-                   default="auto", help="input format (default: auto-detect)")
+def _fmt_set(s) -> str:
+    return "{" + ", ".join(map(str, sorted(s))) + "}"
+
+
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
+
+
+# -- single-graph commands: an answer per graph, and its text view -------------
+
+
+def _gamma(g, args):
+    return {"gamma": domination_number(g), "witness": minimum_dominating_set(g)}
+
+
+def _gamma_text(g, a) -> str:
+    return f"gamma = {a['gamma']}  witness = {_fmt_set(a['witness'])}"
+
+
+def _classify(g, args):
+    return {"schema": "pathdom-report/1", "graph6": emit_graph6(g), "n": g.n,
+            **classify_vertices(g)._asdict()}
+
+
+def _classify_text(g, a) -> str:
+    return "\n".join([
+        _gamma_text(g, a),
+        f"independent domination number = {a['independent_domination_number']}"
+        f"  strong equality = {_yes(a['strong_equality'])}",
+        "vertex  good  critical",
+        *(f"{v:>6}  {_yes(a['good'][v]):<4}  {_yes(a['critical'][v])}" for v in range(g.n)),
+        f"critical set = {_fmt_set(a['critical_vertices'])}",
+    ])
+
+
+def _pa(g, args):
+    pred = predict_pair(g, args.u, args.v)  # rejects a pair that is not two vertices of g
+    direct = path_addition_number(g, args.u, args.v)
+    return {"graph6": emit_graph6(g), "pair": [args.u, args.v], "adjacent": pred.adjacent,
+            "direct": direct, "predicted": pred.pa, "clause": pred.clause,
+            "predicted_gamma_by_k": pred.gamma_values}
+
+
+def _pa_text(g, a) -> str:
+    ks = " ".join(f"{k}:{'?' if val is None else val}"
+                  for k, val in sorted(a["predicted_gamma_by_k"].items()))
+    return "\n".join([
+        f"pair ({a['pair'][0]}, {a['pair'][1]}): "
+        f"{'adjacent' if a['adjacent'] else 'nonadjacent'}",
+        f"  direct:    {a['direct']}",
+        f"  predicted: {a['predicted']}   [{a['clause']}]",
+        f"  predicted gamma by k: {ks}",
+    ])
+
+
+def _pa_mismatch(a):
+    return "  MISMATCH between prediction and search" if a["direct"] != a["predicted"] else None
+
+
+def _profile(g, args):
+    return {**path_addition_profile(g)._asdict(), "graph6": emit_graph6(g)}
+
+
+def _profile_text(g, a) -> str:
+    cells = [f"{pair}:{pa}" for pair, pa in a["pairs"].items()]
+    return "\n".join([
+        f"n = {g.n}, m = {g.edge_count}",
+        *("  " + "  ".join(cells[i:i + 8]) for i in range(0, len(cells), 8)),
+        f"adjacent min/max = {a['min_adjacent']}/{a['max_adjacent']}",
+        f"nonadjacent min/max = {a['min_nonadjacent']}/{a['max_nonadjacent']}",
+    ])
+
+
+def _regions(g, args):
+    rc = classify_regions(g)
+    return {"graph6": emit_graph6(g), **rc._asdict()}
+
+
+def _regions_text(g, a) -> str:
+    # in_a, in_a1, ... print as A, A1, ...
+    flags = " ".join(f"{k[3:].upper()}={_yes(v)}" for k, v in a.items() if k.startswith("in_"))
+    return f"region = {a['region']}   [{flags}]"
+
+
+class _GraphCommand(NamedTuple):
+    """A single-graph subcommand.  ``answer(g, args)``, through
+    formats.jsonable, is what --json prints; ``text(g, answer)`` renders the
+    same answer; ``problem(answer)`` names a failed cross-check, or None."""
+
+    help: str
+    answer: Callable
+    text: Callable
+    options: tuple = ()  # (flags, add_argument keywords) after --format
+    json: bool = True
+    problem: Callable | None = None
+
+
+_PAIR = tuple(((flag,), {"type": int, "required": True}) for flag in ("-u", "-v"))
+
+GRAPH_COMMANDS = {
+    "gamma": _GraphCommand("domination number and a witness set", _gamma, _gamma_text,
+                           json=False),
+    "classify": _GraphCommand("per-vertex domination classification", _classify,
+                              _classify_text),
+    "pa": _GraphCommand("path addition number of one vertex pair", _pa, _pa_text,
+                        options=_PAIR, problem=_pa_mismatch),
+    "profile": _GraphCommand("path addition numbers of all pairs", _profile, _profile_text),
+    "regions": _GraphCommand("taxonomy flags and region tag", _regions, _regions_text),
+}
+
+
+def _run_graph_command(cmd: _GraphCommand, args) -> int:
+    """Print every input graph's answer; exit 1 when a cross-check failed on
+    any of them (each one is named on stderr after its graph's output)."""
+    status = 0
+    for g in _read_graphs(args.file, args.format):
+        answer = jsonable(cmd.answer(g, args))
+        print(json.dumps(answer, indent=2) if cmd.json and args.json else cmd.text(g, answer))
+        if cmd.problem and (problem := cmd.problem(answer)):
+            print(problem, file=sys.stderr)
+            status = 1
+    return status
+
+
+# -- the parser and the corpus commands ----------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,26 +170,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", help="domination number and a witness set")
-    _add_input_args(p)
-
-    p = sub.add_parser("classify", help="per-vertex domination classification")
-    _add_input_args(p)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-
-    p = sub.add_parser("pa", help="path addition number of one vertex pair")
-    _add_input_args(p)
-    p.add_argument("-u", type=int, required=True)
-    p.add_argument("-v", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("profile", help="path addition numbers of all pairs")
-    _add_input_args(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("regions", help="taxonomy flags and region tag")
-    _add_input_args(p)
-    p.add_argument("--json", action="store_true")
+    for name, cmd in GRAPH_COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("file", nargs="?", default="-",
+                       help="graph file, '-' for standard input (default)")
+        p.add_argument("--format", choices=("auto", "graph6", "edgelist"),
+                       default="auto", help="input format (default: auto-detect)")
+        for flags, kwargs in cmd.options:
+            p.add_argument(*flags, **kwargs)
+        if cmd.json:
+            p.add_argument("--json", action="store_true",
+                           help="print the answer as JSON instead of text")
+        p.set_defaults(run=functools.partial(_run_graph_command, cmd))
 
     p = sub.add_parser("gen", help="emit a named family graph")
     p.add_argument("--family", required=True,
@@ -72,6 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated integers when --family is a bare name "
                         "(circulant: n followed by the distance generators)")
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("verify", help="run verification suites over a corpus")
     p.add_argument("--mode", choices=("exhaustive", "random", "file", "family"),
@@ -92,128 +212,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"suite name (repeatable); 'all' = {', '.join(DEFAULT_SUITES)};"
                         f" also available: "
                         f"{', '.join(s for s in SUITES if s not in DEFAULT_SUITES)}")
-    p.add_argument("--cap", type=int, default=6,
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="guard cap for exhaustive enumeration")
     p.add_argument("--max-counterexamples", type=int, default=25)
     p.add_argument("--json", default="",
                    help="write the JSON report to this path ('-' prints JSON only)")
+    p.set_defaults(run=_cmd_verify)
     return ap
-
-
-def _fmt_set(s) -> str:
-    return "{" + ", ".join(map(str, sorted(s))) + "}"
-
-
-def _cmd_gamma(args) -> int:
-    for g in _read_graphs(args.file, args.format):
-        print(f"gamma = {domination_number(g)}  "
-              f"witness = {_fmt_set(minimum_dominating_set(g))}")
-    return 0
-
-
-def _report_dict(g, rep) -> dict:
-    return {
-        "schema": "pathdom-report/1",
-        "graph6": emit_graph6(g),
-        "n": g.n,
-        "gamma": rep.gamma,
-        "witness": sorted(rep.witness),
-        "good": list(rep.good),
-        "bad": list(rep.bad),
-        "critical": list(rep.critical),
-        "critical_vertices": sorted(rep.critical_vertices),
-        "independent_domination_number": rep.independent_domination_number,
-        "strong_equality": rep.strong_equality,
-    }
-
-
-def _cmd_classify(args) -> int:
-    for g in _read_graphs(args.file, args.format):
-        rep = classify_vertices(g)
-        if args.json:
-            print(json.dumps(_report_dict(g, rep), indent=2))
-            continue
-        print(f"gamma = {rep.gamma}  witness = {_fmt_set(rep.witness)}")
-        print(f"independent domination number = {rep.independent_domination_number}"
-              f"  strong equality = {'yes' if rep.strong_equality else 'no'}")
-        print("vertex  good  critical")
-        for v in range(g.n):
-            print(f"{v:>6}  {'yes' if rep.good[v] else 'no':<4}"
-                  f"  {'yes' if rep.critical[v] else 'no'}")
-        print(f"critical set = {_fmt_set(rep.critical_vertices)}")
-    return 0
-
-
-def _cmd_pa(args) -> int:
-    mismatched = False
-    for g in _read_graphs(args.file, args.format):
-        u, v = args.u, args.v
-        pred = predict_pair(g, u, v)  # rejects a pair that is not two vertices of g
-        direct = path_addition_number(g, u, v)
-        if args.json:
-            print(json.dumps({
-                "graph6": emit_graph6(g),
-                "pair": [u, v],
-                "adjacent": pred.adjacent,
-                "direct": direct,
-                "predicted": pred.pa,
-                "clause": pred.clause,
-                "predicted_gamma_by_k": {
-                    str(k): val for k, val in pred.gamma_values.items()
-                },
-            }, indent=2))
-        else:
-            kind = "adjacent" if pred.adjacent else "nonadjacent"
-            print(f"pair ({u}, {v}): {kind}")
-            print(f"  direct:    {direct}")
-            print(f"  predicted: {pred.pa}   [{pred.clause}]")
-            ks = " ".join(
-                f"{k}:{'?' if val is None else val}"
-                for k, val in sorted(pred.gamma_values.items())
-            )
-            print(f"  predicted gamma by k: {ks}")
-        if direct != pred.pa:
-            print("  MISMATCH between prediction and search", file=sys.stderr)
-            mismatched = True
-    return 1 if mismatched else 0
-
-
-def _cmd_profile(args) -> int:
-    for g in _read_graphs(args.file, args.format):
-        prof = path_addition_profile(g)
-        if args.json:
-            d = prof.to_json_dict()
-            d["graph6"] = emit_graph6(g)
-            print(json.dumps(d, indent=2))
-            continue
-        print(f"n = {g.n}, m = {g.edge_count}")
-        cells = [f"{u}-{v}:{pa}" for (u, v), pa in prof.pairs.items()]
-        for i in range(0, len(cells), 8):
-            print("  " + "  ".join(cells[i:i + 8]))
-        agg = prof.to_json_dict()
-        print(f"adjacent min/max = {agg['min_adjacent']}/{agg['max_adjacent']}")
-        print(f"nonadjacent min/max = {agg['min_nonadjacent']}/{agg['max_nonadjacent']}")
-    return 0
-
-
-def _cmd_regions(args) -> int:
-    for g in _read_graphs(args.file, args.format):
-        rc = classify_regions(g)
-        if args.json:
-            print(json.dumps({
-                "graph6": emit_graph6(g),
-                "in_a": rc.in_a, "in_a1": rc.in_a1,
-                "in_a2": rc.in_a2, "in_a3": rc.in_a3,
-                "region": rc.region,
-            }, indent=2))
-            continue
-        flags = " ".join(
-            f"{name}={'yes' if val else 'no'}"
-            for name, val in (("A", rc.in_a), ("A1", rc.in_a1),
-                              ("A2", rc.in_a2), ("A3", rc.in_a3))
-        )
-        print(f"region = {rc.region}   [{flags}]")
-    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -238,8 +243,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 def _cmd_verify(args) -> int:
     if args.mode == "exhaustive":
         n_min, n_max = _parse_n_range(args.n)
-        spec = CorpusSpec(mode="exhaustive", n_min=n_min, n_max=n_max,
-                          connected_only=args.connected, cap=args.cap)
+        spec = CorpusSpec.exhaustive(n_max, n_min, connected_only=args.connected,
+                                     cap=args.cap)
     elif args.mode == "random":
         if not args.n.strip().isdecimal():
             raise ValueError(f"--n takes one nonnegative integer in random mode, "
@@ -273,21 +278,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_COMMANDS = {
-    "gamma": _cmd_gamma,
-    "classify": _cmd_classify,
-    "pa": _cmd_pa,
-    "profile": _cmd_profile,
-    "regions": _cmd_regions,
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -209,15 +209,12 @@ def from_edge_mask(n: int, mask: int) -> Graph:
 
 
 def edge_mask(g: Graph) -> int:
-    """Inverse of from_edge_mask."""
+    """Inverse of from_edge_mask: vertex v's lower row, shifted into place."""
     mask = 0
-    i = 0
-    for v in range(g.n):
-        row = g.nbr[v]
-        for u in range(v):
-            if row >> u & 1:
-                mask |= 1 << i
-            i += 1
+    start = 0
+    for v in range(1, g.n):
+        mask |= (g.nbr[v] & ((1 << v) - 1)) << start
+        start += v
     return mask
 
 

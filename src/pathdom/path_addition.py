@@ -98,16 +98,6 @@ class PaProfile(NamedTuple):
     min_nonadjacent: float
     max_nonadjacent: float
 
-    def to_json_dict(self) -> dict:
-        enc = lambda x: "inf" if x == INFINITE else x
-        return {
-            "pairs": {f"{u}-{v}": pa for (u, v), pa in self.pairs.items()},
-            "min_adjacent": enc(self.min_adjacent),
-            "max_adjacent": enc(self.max_adjacent),
-            "min_nonadjacent": enc(self.min_nonadjacent),
-            "max_nonadjacent": enc(self.max_nonadjacent),
-        }
-
 
 def path_addition_profile(g: Graph) -> PaProfile:
     if g.n < 2:

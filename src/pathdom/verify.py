@@ -26,8 +26,9 @@ from .domination import (
     minimum_dominating_set,
 )
 from .families import generate_family, parse_family_spec
-from .formats import GraphFormatError, emit_graph6, iter_entries
-from .graphs import Graph, enumerate_labeled_graphs, from_edge_mask, subdivide_edge
+from .formats import GraphFormatError, emit_graph6, iter_entries, jsonable
+from .graphs import (DEFAULT_ENUMERATION_CAP, Graph, enumerate_labeled_graphs, from_edge_mask,
+                     subdivide_edge)
 from .path_addition import (
     INFINITE,
     add_path,
@@ -81,10 +82,10 @@ class CorpusSpec(NamedTuple):
     path: str = ""
     fmt: str = "auto"
     families: tuple[str, ...] = ()
-    cap: int = 6
+    cap: int = DEFAULT_ENUMERATION_CAP
 
     @classmethod
-    def exhaustive(cls, n_max, n_min=0, connected_only=False, cap=6):
+    def exhaustive(cls, n_max, n_min=0, connected_only=False, cap=DEFAULT_ENUMERATION_CAP):
         # the default cap guard stays; pass cap= explicitly for bigger runs
         return cls(
             mode="exhaustive",
@@ -554,8 +555,8 @@ class VerificationReport(NamedTuple):
 
     def table(self) -> str:
         lines = []
-        cfg = ", ".join(f"{k}={v}" for k, v in self.config.items() if k != "suites")
-        lines.append(f"corpus: {cfg}")
+        corpus = ", ".join(f"{k}={v}" for k, v in self.config["corpus"].items())
+        lines.append(f"corpus: {corpus}")
         lines.append(f"{'suite':<30} {'graphs':>8} {'checks':>10} {'failures':>9}")
         for name, st in self.suite_stats.items():
             lines.append(
@@ -588,17 +589,6 @@ def _resolve_suites(names) -> list[str]:
     return out
 
 
-def _jsonable(value):
-    """Strict-JSON form of a failure payload (infinities become 'inf')."""
-    if isinstance(value, float) and value == INFINITE:
-        return "inf"
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _eval_graph(args):
     g, names = args
     clear_caches()
@@ -612,7 +602,7 @@ def _eval_graph(args):
             checks = 0
             fails = [{"check": "suite-error", "error": f"{type(exc).__name__}: {exc}"}]
         dt = time.perf_counter() - t0
-        fails = [_jsonable(f) for f in fails]
+        fails = [jsonable(f) for f in fails]
         if fails and g6 is None:
             g6 = emit_graph6(g)
         for f in fails:

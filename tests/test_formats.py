@@ -77,8 +77,10 @@ class TestGraph6AgainstNetworkx:
 
     def test_parse_decodes_reference_atlas(self):
         for ref in nx.graph_atlas_g():  # every graph on at most 7 vertices
-            g = parse_graph6(nx.to_graph6_bytes(ref, header=False).decode())
+            text = nx.to_graph6_bytes(ref, header=False).decode()
+            g = parse_graph6(text)
             assert g == Graph(ref.number_of_nodes(), ref.edges)
+            assert emit_graph6(g) + "\n" == text
 
     @given(graphs(min_n=1, max_n=7))
     def test_parse_matches_reference(self, g):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from pathdom.domination import domination_number
 from pathdom.families import complete, complete_bipartite, cycle, edgeless, path, rook, star
+from pathdom.formats import jsonable
 from pathdom.graphs import Graph
 from pathdom.path_addition import (
     INFINITE,
@@ -125,7 +126,7 @@ class TestProfile:
             path_addition_profile(Graph(1))
 
     def test_json_dict_inf_encoding(self):
-        d = path_addition_profile(edgeless(2)).to_json_dict()
+        d = jsonable(path_addition_profile(edgeless(2)))
         assert d["min_adjacent"] == "inf" and d["pairs"] == {"0-1": 5}
 
 

@@ -199,6 +199,8 @@ class TestRunner:
         report = run_verification(CorpusSpec.exhaustive(2), ["chains"])
         text = report.table()
         assert "chains" in text and "PASS" in text
+        assert text.splitlines()[0] == (
+            "corpus: mode=exhaustive, n_min=0, n_max=2, connected_only=False, cap=6")
 
     def test_suite_error_is_recorded_and_run_goes_on(self, monkeypatch):
         seen = []
@@ -350,11 +352,11 @@ def test_oracle_equivalence_skips_tiny_graphs():
 
 
 def test_failure_payloads_are_strict_json():
-    from pathdom.verify import _jsonable
+    from pathdom.formats import jsonable
 
     payload = {"actual": [float("inf"), 3], "nested": {"x": float("inf")}}
-    assert _jsonable(payload) == {"actual": ["inf", 3], "nested": {"x": "inf"}}
-    assert json.dumps(_jsonable(payload))  # strict-serializable
+    assert jsonable(payload) == {"actual": ["inf", 3], "nested": {"x": "inf"}}
+    assert json.dumps(jsonable(payload))  # strict-serializable
 
 
 DATA = Path(__file__).parent / "data"
