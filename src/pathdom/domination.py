@@ -2,18 +2,27 @@
 
 The core solver is a branch-and-bound over adjacency bitmasks: it
 branches on the undominated vertex with the fewest remaining candidate
-dominators (ties to the smallest label), seeds the incumbent with a
-greedy cover, and prunes with the coverage lower bound
-ceil(undominated / best-possible-coverage).  A node with room for one
-more vertex only (the incumbent is two above its size) is settled
-without branching: the vertices that complete the set are the common
-candidate dominators of its undominated vertices, and the lowest of them
-is the child the search would reach first.  Results are exact and
-deterministic, including the witness sets.  With the branching order
-fixed, the recorded set is the first in search order that beats the
-greedy size, then the first after it that beats that one, and so on; a
-node is cut only when it cannot beat the incumbent, so any admissible
-bound, however computed, yields the same witnesses.  The same search answers
+dominators (ties to the smallest label) and seeds the incumbent with a
+greedy cover.  Two lower bounds prune.  The coverage bound: when at
+most r more vertices can be added and still improve, some allowed vertex
+must cover at least undominated / r, and its scan stops at the first
+that does.  The packing bound (after van Rooij and Bodlaender, "Exact
+algorithms for dominating set", Discrete Appl. Math. 159, 2011):
+undominated vertices whose candidate dominators are pairwise disjoint
+each need their own new vertex; they are counted in the same pass that
+picks the branch vertex, which stops as soon as the count rules the node
+out.  A node with room for one more vertex only (the incumbent is two
+above its size) is settled without branching: the vertices that
+complete the set are the common candidate dominators of its undominated
+vertices, and the lowest of them is the child the search would reach
+first.  The greedy pick stops at the first vertex whose coverage
+reaches the most any vertex could cover, since no later one can
+strictly beat it.  Results are exact and deterministic, including the
+witness sets.  With the branching order fixed, the recorded set is the
+first in search order that beats the greedy size, then the first after
+it that beats that one, and so on; a node is cut only when it cannot
+beat the incumbent, so any admissible bound, however computed, yields
+the same witnesses.  The same search answers
 constrained queries (forced and forbidden vertices), vertex deletions
 without relabeling, and independent domination; ``shares_minimum_set``
 is the pair relation behind the minimum-set shape predicates.  Every
@@ -97,7 +106,8 @@ def _solve(
     ``conflict[c]`` (``conflict=nbr`` asks for an independent set).
     Returns (size, mask) or None when no such set exists.
     """
-    # bit loops are inlined (b = m & -m; ...; m ^= b): this is the hot path
+    # this is the hot path: scans over every vertex enumerate the rows, and
+    # loops over a subset's bits are inlined (b = m & -m; ...; m ^= b)
     full = (1 << n) - 1 & ~drop
     dominated = 0
     m = include
@@ -108,26 +118,28 @@ def _solve(
     allowed = full & ~exclude & ~include
 
     undom = full & ~dominated
-    m = undom
+    # without exclude, every undominated vertex is its own candidate
+    m = undom if exclude else 0
     while m:
         b = m & -m
         if not closed[b.bit_length() - 1] & allowed:
             return None
         m ^= b
 
-    # greedy incumbent: repeatedly take the allowed vertex covering the most
+    # greedy incumbent: repeatedly take the allowed vertex covering the most;
+    # the first to reach the cap cannot be strictly beaten by a later one
     best = [n + 1, None]
     mask, avail = include, allowed
+    widest = max(map(int.bit_count, closed), default=0)
     while undom:
         pick, pickcov = -1, 0
-        m = avail
-        while m:
-            b = m & -m
-            c = b.bit_length() - 1
-            cov = (closed[c] & undom).bit_count()
-            if cov > pickcov:
+        cap = min(undom.bit_count(), widest)
+        for c, row in enumerate(closed):
+            cov = (row & undom).bit_count()
+            if cov > pickcov and avail >> c & 1:
                 pick, pickcov = c, cov
-            m ^= b
+                if cov == cap:
+                    break
         if pick < 0:  # conflicts stranded a vertex: no incumbent
             break
         mask |= 1 << pick
@@ -159,27 +171,31 @@ def _solve(
             if cand:
                 best[0], best[1] = size + 1, mask | (cand & -cand)
             return
-        # admissible bound: every added vertex covers at most maxcov new ones
-        maxcov = 0
-        m = allowed
-        while m:
-            b = m & -m
-            cov = (closed[b.bit_length() - 1] & undom).bit_count()
-            if cov > maxcov:
-                maxcov = cov
-            m ^= b
-        if not maxcov:
+        # coverage bound: at most room - 1 more vertices can be added and
+        # still improve, so one of them must cover |undom| / (room - 1)
+        total, more = undom.bit_count(), room - 1
+        for c, row in enumerate(closed):
+            if (row & undom).bit_count() * more >= total and allowed >> c & 1:
+                break
+        else:
             return
-        need = (undom.bit_count() + maxcov - 1) // maxcov
-        if size + need >= best[0]:
-            return
-        # branch vertex: undominated with fewest candidate dominators
+        # branch vertex: undominated with fewest candidate dominators.  The
+        # same pass counts undominated vertices whose candidate sets are
+        # disjoint from those counted before (a packing bound): each needs
+        # its own new vertex
         w, wcount = -1, n + 1
+        packed, used = 0, 0
         m = undom
         while m:
             b = m & -m
             x = b.bit_length() - 1
-            cnt = (closed[x] & allowed).bit_count()
+            cand = closed[x] & allowed
+            if not cand & used:
+                packed += 1
+                if packed >= room:
+                    return
+                used |= cand
+            cnt = cand.bit_count()
             if cnt < wcount:
                 w, wcount = x, cnt
             m ^= b

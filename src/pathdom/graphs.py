@@ -88,12 +88,15 @@ class Graph:
         return cls._from_trusted_masks(n, masks)
 
     @classmethod
-    def _from_trusted_masks(cls, n: int, masks: tuple[int, ...]) -> "Graph":
-        # internal fast path: caller guarantees symmetry and irreflexivity
+    def _from_trusted_masks(
+        cls, n: int, masks: tuple[int, ...], closed: tuple[int, ...] | None = None
+    ) -> "Graph":
+        # internal fast path: caller guarantees symmetry and irreflexivity,
+        # and that ``closed``, when given, is masks[v] | 1 << v row by row
         g = object.__new__(cls)
         g.n = n
         g.nbr = masks
-        g.closed = tuple(m | (1 << v) for v, m in enumerate(masks))
+        g.closed = closed or tuple(m | (1 << v) for v, m in enumerate(masks))
         g._hash = hash((n, masks))
         return g
 

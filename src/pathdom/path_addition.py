@@ -50,19 +50,19 @@ def add_path(g: Graph, u: int, v: int, k: int) -> Graph:
         raise ValueError("path addition needs two distinct endpoints")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        if g.has_edge(u, v):
-            return g
-        masks = list(g.nbr)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        return Graph._from_trusted_masks(n, tuple(masks))
+    if k == 0 and g.has_edge(u, v):
+        return g
+    # only the endpoints' rows change and the path's rows are new, so the
+    # base graph's closed rows are reused rather than rebuilt
     masks = list(g.nbr) + [0] * k
-    chain = [u] + list(range(n, n + k)) + [v]
+    closed = list(g.closed) + [1 << x for x in range(n, n + k)]
+    chain = [u, *range(n, n + k), v]
     for a, b in zip(chain, chain[1:]):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    return Graph._from_trusted_masks(n + k, tuple(masks))
+        closed[a] |= 1 << b
+        closed[b] |= 1 << a
+    return Graph._from_trusted_masks(n + k, tuple(masks), tuple(closed))
 
 
 def domination_after_path(g: Graph, u: int, v: int, k: int) -> int:

@@ -555,7 +555,7 @@ class VerificationReport(NamedTuple):
 
     def table(self) -> str:
         lines = []
-        corpus = ", ".join(f"{k}={v}" for k, v in self.config["corpus"].items())
+        corpus = ", ".join(f"{k}={_compact(v)}" for k, v in self.config["corpus"].items())
         lines.append(f"corpus: {corpus}")
         lines.append(f"{'suite':<30} {'graphs':>8} {'checks':>10} {'failures':>9}")
         for name, st in self.suite_stats.items():
@@ -563,13 +563,18 @@ class VerificationReport(NamedTuple):
                 f"{name:<30} {st['graphs']:>8} {st['checks']:>10} {st['failures']:>9}"
             )
         for ce in self.counterexamples[:10]:
-            lines.append(f"  counterexample: {ce}")
+            lines.append(f"  counterexample: {_compact(ce)}")
         if len(self.counterexamples) > 10:
             lines.append(f"  ... and {len(self.counterexamples) - 10} more")
         for err in self.input_errors:
             lines.append(f"  input error: {err}")
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
+
+
+def _compact(value) -> str:
+    """One-line JSON of a report value, as the JSON report writes it."""
+    return json.dumps(jsonable(value), separators=(",", ":"))
 
 
 def _resolve_suites(names) -> list[str]:

@@ -34,6 +34,7 @@ from pathdom.families import (
     rook,
     star,
 )
+from pathdom.families import generate_family, parse_family_spec
 from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs, mask_of
 from pathdom.path_addition import add_path
 from pathdom.verify import _brute_minimum_sets, random_graph
@@ -305,9 +306,15 @@ class TestKernelMatchesReference:
                 reference_solve(g.closed, g.n, include, exclude, drop, conflict)
             )
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_every_path_addition(self, seed):
-        g = random_graph(10, 0.3, random.Random(seed))
+    # three seeded 10-vertex graphs, and sparse families on which the
+    # packing bound and the early scan exits fire on most nodes
+    @pytest.mark.parametrize("source", [
+        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))"])
+    def test_every_path_addition(self, source):
+        if isinstance(source, int):
+            g = random_graph(10, 0.3, random.Random(source))
+        else:
+            g = generate_family(parse_family_spec(source))
         for u, v in combinations(range(g.n), 2):
             for k in range(1, 6):
                 h = add_path(g, u, v, k)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -48,6 +50,18 @@ class TestAddPath:
             h = add_path(g, 1, 2, k)
             assert h.edge_count == g.edge_count + k + 1
             assert h.n == g.n + k
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=2, max_n=8))
+    def test_reused_closed_rows_match_a_fresh_build(self, g):
+        # add_path patches the base graph's closed rows instead of rebuilding
+        for u, v in combinations(range(g.n), 2):
+            for k in range(5):
+                h = add_path(g, u, v, k)
+                fresh = Graph.from_masks(h.n, h.nbr)
+                assert h == fresh and hash(h) == hash(fresh)
+                assert h.closed == fresh.closed
+                assert all(h.closed[x] == h.nbr[x] | 1 << x for x in range(h.n))
 
     def test_same_endpoint_rejected(self):
         with pytest.raises(ValueError):

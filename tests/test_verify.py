@@ -195,12 +195,24 @@ class TestRunner:
         assert report.suite_stats["chains"]["graphs"] == 0
         assert not report.passed
 
-    def test_table_renders(self):
+    def test_table_renders(self, monkeypatch):
+        # corpus values and counterexamples are one-line JSON, never reprs
         report = run_verification(CorpusSpec.exhaustive(2), ["chains"])
         text = report.table()
         assert "chains" in text and "PASS" in text
         assert text.splitlines()[0] == (
-            "corpus: mode=exhaustive, n_min=0, n_max=2, connected_only=False, cap=6")
+            'corpus: mode="exhaustive", n_min=0, n_max=2, connected_only=false, cap=6')
+        lines = run_verification(CorpusSpec.from_families(["path(4)"]), ["max-adjacent-2"]).table()
+        assert lines.splitlines()[0] == 'corpus: mode="family", families=["path(4)"]'
+        assert lines.splitlines()[3] == (
+            '  counterexample: {"check":"max-adjacent-2","expected":2,"actual":3,'
+            '"suite":"max-adjacent-2","graph6":"Ch"}')
+        monkeypatch.setitem(SUITES, "chains", lambda g: (1, [
+            {"check": "flag", "holds": True, "set": frozenset({2, 1})}]))
+        text = run_verification(CorpusSpec.exhaustive(1, n_min=1), ["chains"]).table()
+        assert text.splitlines()[3] == (
+            '  counterexample: {"check":"flag","holds":true,"set":[1,2],'
+            '"suite":"chains","graph6":"@"}')
 
     def test_suite_error_is_recorded_and_run_goes_on(self, monkeypatch):
         seen = []
