@@ -11,7 +11,6 @@ corpora of graphs.
 from .domination import (
     DominationReport,
     all_minimum_sets_cliques,
-    all_minimum_sets_efficient,
     classify_vertices,
     clear_caches,
     constrained_domination_number,
@@ -42,7 +41,6 @@ from .families import (
 )
 from .formats import (
     GraphFormatError,
-    detect_format,
     emit_edge_list,
     emit_graph6,
     load_graphs,
@@ -51,7 +49,6 @@ from .formats import (
 )
 from .graphs import (
     Graph,
-    delete_vertices,
     edge_mask,
     enumerate_labeled_graphs,
     from_edge_mask,
@@ -64,10 +61,7 @@ from .oracle import (
     all_nonadjacent_pa_three,
     characterize_aggregates,
     classify_regions,
-    predict_adjacent,
-    predict_nonadjacent,
     predict_pair,
-    predict_path_addition_number,
 )
 from .path_addition import (
     INFINITE,

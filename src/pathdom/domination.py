@@ -33,7 +33,6 @@ that rebinds the public functions leaves them to ``clear_caches``, and
 """
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .graphs import Graph, bits, mask_of, set_of
@@ -48,7 +47,6 @@ __all__ = [
     "independent_domination_number",
     "private_neighbors",
     "classify_vertices",
-    "all_minimum_sets_efficient",
     "all_minimum_sets_cliques",
     "clear_caches",
 ]
@@ -297,17 +295,6 @@ def _classify(g: Graph) -> DominationReport:
         critical_vertices=frozenset(v for v in range(g.n) if critical[v]),
         independent_domination_number=independent_domination_number(g),
         strong_equality=not any(shares_minimum_set(g, u, v) for u, v in g.edges()),
-    )
-
-
-def all_minimum_sets_efficient(g: Graph) -> bool:
-    """True iff the closed neighborhoods of every minimum dominating set
-    partition the vertex set: no two members have meeting closed
-    neighborhoods."""
-    return not any(
-        shares_minimum_set(g, u, v)
-        for u, v in combinations(range(g.n), 2)
-        if g.closed[u] & g.closed[v]
     )
 
 

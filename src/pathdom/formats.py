@@ -18,7 +18,6 @@ __all__ = [
     "parse_graph6",
     "emit_edge_list",
     "parse_edge_list",
-    "detect_format",
     "iter_entries",
     "load_graphs",
 ]
@@ -129,14 +128,6 @@ def _format_of(line: str) -> str | None:
     parts = line.split("#", 1)[0].split()
     if parts:
         return "edgelist" if len(parts) == 2 and all(p.isdigit() for p in parts) else "graph6"
-
-
-def detect_format(text: str) -> str:
-    """Guess 'edgelist' vs 'graph6' from the first meaningful line."""
-    for line in text.splitlines():
-        if fmt := _format_of(line):
-            return fmt
-    raise GraphFormatError("no graph data found")
 
 
 def _attempt(parse, data):

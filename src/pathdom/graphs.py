@@ -16,7 +16,6 @@ __all__ = [
     "set_of",
     "from_edge_mask",
     "edge_mask",
-    "delete_vertices",
     "subdivide_edge",
     "enumerate_labeled_graphs",
     "DEFAULT_ENUMERATION_CAP",
@@ -222,27 +221,6 @@ def edge_mask(g: Graph) -> int:
 
 
 # -- derived graphs -----------------------------------------------------------
-
-
-def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on V(g) minus the given set.
-
-    Survivors are relabeled 0..n-|s|-1 in ascending original order; the
-    returned map sends each surviving original label to its new label.
-    """
-    drop = mask_of(vertices)
-    if drop & ~((1 << g.n) - 1):
-        raise ValueError("vertex to delete is out of range")
-    keep = [v for v in range(g.n) if not drop >> v & 1]
-    relabel = {old: new for new, old in enumerate(keep)}
-    masks = []
-    for old in keep:
-        m = 0
-        row = g.nbr[old]
-        for w in bits(row & ~drop):
-            m |= 1 << relabel[w]
-        masks.append(m)
-    return Graph._from_trusted_masks(len(keep), tuple(masks)), relabel
 
 
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:

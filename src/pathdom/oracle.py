@@ -24,10 +24,7 @@ from .path_addition import INFINITE
 
 __all__ = [
     "Prediction",
-    "predict_adjacent",
-    "predict_nonadjacent",
     "predict_pair",
-    "predict_path_addition_number",
     "AggregateCharacterization",
     "characterize_aggregates",
     "RegionClass",
@@ -152,35 +149,6 @@ def predict_pair(g: Graph, u: int, v: int) -> Prediction:
         pa=pa,
         clause=_CLAUSES[adjacent, pa],
     )
-
-
-def predict_adjacent(g: Graph, u: int, v: int, k: int) -> int:
-    """Predicted domination number after inserting k internal path vertices
-    between the adjacent pair u, v (k in 1..3)."""
-    if k not in (1, 2, 3):
-        raise ValueError("adjacent predictions cover k in 1..3 only")
-    pred = predict_pair(g, u, v)
-    if not pred.adjacent:
-        raise ValueError(f"({u}, {v}) is not an edge; use predict_nonadjacent")
-    return pred.gamma_values[k]
-
-
-def predict_nonadjacent(g: Graph, u: int, v: int, k: int) -> int | None:
-    """Predicted domination number after inserting k internal path vertices
-    between the nonadjacent pair u, v (k in 1..5; None where undetermined)."""
-    if k not in (1, 2, 3, 4, 5):
-        raise ValueError("nonadjacent predictions cover k in 1..5 only")
-    pred = predict_pair(g, u, v)
-    if pred.adjacent:
-        raise ValueError(f"({u}, {v}) is an edge; use predict_adjacent")
-    return pred.gamma_values[k]
-
-
-def predict_path_addition_number(g: Graph, u: int, v: int) -> int:
-    """Predicted path addition number of the pair; resolves by k <= 3 for
-    adjacent pairs and k <= 5 for nonadjacent ones, without ever solving
-    a path-added graph."""
-    return predict_pair(g, u, v).pa
 
 
 # -- aggregates from their closed-form characterizations ----------------------

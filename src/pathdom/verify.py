@@ -567,7 +567,7 @@ class VerificationReport(NamedTuple):
         if len(self.counterexamples) > 10:
             lines.append(f"  ... and {len(self.counterexamples) - 10} more")
         for err in self.input_errors:
-            lines.append(f"  input error: {err}")
+            lines.append(f"  input error: {_compact(err)}")
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -580,6 +580,7 @@ def _compact(value) -> str:
 def _resolve_suites(names) -> list[str]:
     if isinstance(names, str):
         names = [names]
+    available = f"available: {', '.join(SUITES)} and 'all'"
     out: list[str] = []
     for name in names:
         if name == "all":
@@ -588,9 +589,10 @@ def _resolve_suites(names) -> list[str]:
             if name not in out:
                 out.append(name)
         else:
-            raise ValueError(
-                f"unknown suite {name!r}; available: {', '.join(SUITES)} and 'all'"
-            )
+            raise ValueError(f"unknown suite {name!r}; {available}")
+    if not out:
+        # no suite means no check: fail before drawing a single graph
+        raise ValueError(f"no suite selected; {available}")
     return out
 
 

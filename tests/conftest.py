@@ -1,10 +1,11 @@
 """Shared strategies and independent oracles for the test suite."""
 
 from itertools import combinations, permutations
+from typing import Iterable
 
 import hypothesis.strategies as st
 
-from pathdom.graphs import Graph, bits, from_edge_mask
+from pathdom.graphs import Graph, bits, from_edge_mask, mask_of
 
 
 @st.composite
@@ -64,6 +65,27 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         if all(h.has_edge(p[u], p[v]) for u, v in gedges):
             return True
     return False
+
+
+def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Test oracle: the induced subgraph on V(g) minus the given set, rebuilt
+    and relabeled, to compare the kernel's in-place ``delete=`` against.
+
+    Survivors are relabeled 0..n-|s|-1 in ascending original order; the
+    returned map sends each surviving original label to its new label.
+    """
+    drop = mask_of(vertices)
+    if drop & ~((1 << g.n) - 1):
+        raise ValueError("vertex to delete is out of range")
+    keep = [v for v in range(g.n) if not drop >> v & 1]
+    relabel = {old: new for new, old in enumerate(keep)}
+    masks = []
+    for old in keep:
+        m = 0
+        for w in bits(g.nbr[old] & ~drop):
+            m |= 1 << relabel[w]
+        masks.append(m)
+    return Graph.from_masks(len(keep), masks), relabel
 
 
 def reference_solve(

@@ -12,7 +12,6 @@ from pathdom.domination import (
     _search,
     _solve,
     all_minimum_sets_cliques,
-    all_minimum_sets_efficient,
     classify_vertices,
     clear_caches,
     constrained_domination_number,
@@ -28,18 +27,23 @@ from pathdom.families import (
     complete_bipartite,
     crown,
     cycle,
-    generalized_petersen,
     join,
     path,
     rook,
     star,
 )
 from pathdom.families import generate_family, parse_family_spec
-from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs, mask_of
+from pathdom.graphs import Graph, enumerate_labeled_graphs, mask_of
 from pathdom.path_addition import add_path
 from pathdom.verify import _brute_minimum_sets, random_graph
 
-from .conftest import graphs, naive_gamma, naive_independent_gamma, reference_solve
+from .conftest import (
+    delete_vertices,
+    graphs,
+    naive_gamma,
+    naive_independent_gamma,
+    reference_solve,
+)
 
 
 class TestIsDominating:
@@ -259,11 +263,6 @@ class TestPrivateNeighbors:
 
 
 class TestSetShapePredicates:
-    def test_efficient(self):
-        assert all_minimum_sets_efficient(crown(3))
-        assert not all_minimum_sets_efficient(cycle(4))
-        assert all_minimum_sets_efficient(generalized_petersen(8, 3))
-
     def test_cliques(self):
         # joining two parts that each need 3 dominators pins every minimum
         # set to one vertex per part, hence an edge
@@ -278,8 +277,6 @@ class TestSetShapePredicates:
     def test_predicates_match_enumeration(self, g):
         sets = _brute_minimum_sets(g)
         assert all_minimum_sets_cliques(g) == all(g.is_clique(s) for s in sets)
-        efficient = all(sum(g.closed[v].bit_count() for v in s) == g.n for s in sets)
-        assert all_minimum_sets_efficient(g) == efficient
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(min_n=2, max_n=6), st.data())

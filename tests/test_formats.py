@@ -5,7 +5,6 @@ from hypothesis import given
 from pathdom.families import complete, path
 from pathdom.formats import (
     GraphFormatError,
-    detect_format,
     emit_edge_list,
     emit_graph6,
     iter_entries,
@@ -156,8 +155,9 @@ class TestEdgeList:
 
 class TestLoadGraphs:
     def test_autodetect_edgelist(self):
-        assert detect_format("3 1\n0 1\n") == "edgelist"
-        assert detect_format("C~\n") == "graph6"
+        # the first meaningful line picks the format: "n m" reads as an edge list
+        assert load_graphs("# k2 plus a vertex\n3 1\n0 1\n") == [Graph(3, [(0, 1)])]
+        assert load_graphs("C~\n") == load_graphs("C~\n", "graph6") == [complete(4)]
 
     def test_multiline_graph6(self):
         gs = load_graphs("C~\nCh\n")

@@ -3,7 +3,6 @@ from hypothesis import given
 
 from pathdom.graphs import (
     Graph,
-    delete_vertices,
     edge_mask,
     enumerate_labeled_graphs,
     from_edge_mask,
@@ -11,7 +10,7 @@ from pathdom.graphs import (
 )
 from pathdom.families import complete, cycle, path
 
-from .conftest import brute_isomorphic, graphs
+from .conftest import brute_isomorphic, delete_vertices, graphs
 
 
 class TestConstruction:
@@ -44,6 +43,8 @@ class TestConstruction:
 
 
 class TestDeleteVertices:
+    """The relabel-and-rebuild reference that the kernel's ``delete=`` is checked against."""
+
     def test_path_minus_end(self):
         h, relabel = delete_vertices(path(4), [0])
         assert h == path(3)

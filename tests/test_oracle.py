@@ -16,15 +16,12 @@ from pathdom.families import (
     rook,
     star,
 )
-from pathdom.graphs import Graph, delete_vertices, enumerate_labeled_graphs
+from pathdom.graphs import Graph, enumerate_labeled_graphs
 from pathdom.oracle import (
     all_nonadjacent_pa_three,
     characterize_aggregates,
     classify_regions,
-    predict_adjacent,
-    predict_nonadjacent,
     predict_pair,
-    predict_path_addition_number,
 )
 from pathdom.path_addition import (
     INFINITE,
@@ -34,7 +31,7 @@ from pathdom.path_addition import (
     path_addition_profile,
 )
 
-from .conftest import graphs, graphs_with_pair, naive_gamma
+from .conftest import delete_vertices, graphs, graphs_with_pair, naive_gamma
 
 
 def k3_union_k3():
@@ -49,61 +46,52 @@ def k3_union_k3():
     ids=["negative-u", "negative-v", "v-past-n", "u-equals-n", "same-vertex", "one-vertex"],
 )
 @pytest.mark.parametrize(
-    "predict",
-    [predict_pair, predict_path_addition_number,
-     lambda g, u, v: predict_adjacent(g, u, v, 1),
-     lambda g, u, v: predict_nonadjacent(g, u, v, 1)],
-    ids=["pair", "pa", "adjacent", "nonadjacent"],
+    # the oracle and the search route behind `pathdom pa` reject the same pairs
+    "route", [predict_pair, path_addition_number], ids=["pair", "pa"],
 )
-def test_pair_outside_the_graph_is_rejected(predict, g, u, v):
+def test_pair_outside_the_graph_is_rejected(route, g, u, v):
     with pytest.raises(ValueError):
-        predict(g, u, v)
+        route(g, u, v)
+
+
+def gamma_after(g, u, v, k):
+    return predict_pair(g, u, v).gamma_values[k]
 
 
 class TestPredictAdjacent:
     def test_p4_middle_k2_stays(self):
-        assert predict_adjacent(path(4), 1, 2, 2) == 2
+        assert gamma_after(path(4), 1, 2, 2) == 2
 
     def test_c4_k1_stays(self):
-        assert predict_adjacent(cycle(4), 0, 1, 1) == 2
+        assert gamma_after(cycle(4), 0, 1, 1) == 2
 
     def test_k2_k2_rises(self):
-        assert predict_adjacent(path(2), 0, 1, 2) == 2  # gamma + 1
+        assert gamma_after(path(2), 0, 1, 2) == 2  # gamma + 1
 
     def test_k3_unconditional(self):
         g = cycle(5)
-        assert predict_adjacent(g, 0, 1, 3) == domination_number(g) + 1
-
-    def test_wrong_case_rejected(self):
-        with pytest.raises(ValueError):
-            predict_adjacent(cycle(4), 0, 2, 1)
-        with pytest.raises(ValueError):
-            predict_adjacent(cycle(4), 0, 1, 4)
+        assert gamma_after(g, 0, 1, 3) == domination_number(g) + 1
 
 
 class TestPredictNonadjacent:
     def test_star_leaves_k1_rises(self):
-        assert predict_nonadjacent(star(3), 1, 2, 1) == 2
+        assert gamma_after(star(3), 1, 2, 1) == 2
 
     def test_c4_antipodal_k3_stays(self):
-        assert predict_nonadjacent(cycle(4), 0, 2, 3) == 2
+        assert gamma_after(cycle(4), 0, 2, 3) == 2
 
     def test_edgeless_k4_stays(self):
-        assert predict_nonadjacent(edgeless(3), 0, 1, 4) == 3
+        assert gamma_after(edgeless(3), 0, 1, 4) == 3
 
     def test_edgeless_k1_drops(self):
-        assert predict_nonadjacent(edgeless(3), 0, 1, 1) == 2
+        assert gamma_after(edgeless(3), 0, 1, 1) == 2
 
     def test_k5_pinned_after_flat_k4(self):
-        assert predict_nonadjacent(edgeless(3), 0, 1, 5) == 4
+        assert gamma_after(edgeless(3), 0, 1, 5) == 4
 
     def test_k5_undetermined_otherwise(self):
         # same-side pair of K_{3,3}: the rise happens at k=2 already
-        assert predict_nonadjacent(complete_bipartite(3, 3), 0, 1, 5) is None
-
-    def test_wrong_case_rejected(self):
-        with pytest.raises(ValueError):
-            predict_nonadjacent(cycle(4), 0, 1, 1)
+        assert gamma_after(complete_bipartite(3, 3), 0, 1, 5) is None
 
 
 class TestPredictPair:
@@ -112,10 +100,10 @@ class TestPredictPair:
         assert pred.pa == 3 and pred.adjacent
 
     def test_k3(self):
-        assert predict_path_addition_number(complete(3), 0, 1) == 2
+        assert predict_pair(complete(3), 0, 1).pa == 2
 
     def test_rook_nonadjacent(self):
-        assert predict_path_addition_number(rook(3), 0, 4) == 4
+        assert predict_pair(rook(3), 0, 4).pa == 4
 
     def test_clause_is_stable_string(self):
         pred = predict_pair(star(3), 1, 2)
@@ -134,19 +122,14 @@ def test_oracle_matches_solver_exhaustive_n4():
         gamma = domination_number(g)
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                if g.has_edge(u, v):
-                    for k in (1, 2, 3):
-                        assert predict_adjacent(g, u, v, k) == \
-                            domination_after_path(g, u, v, k)
-                else:
-                    for k in (1, 2, 3, 4):
-                        assert predict_nonadjacent(g, u, v, k) == \
-                            domination_after_path(g, u, v, k)
-                    if predict_nonadjacent(g, u, v, 4) == gamma:
-                        assert predict_nonadjacent(g, u, v, 5) == \
-                            domination_after_path(g, u, v, 5)
-                assert predict_path_addition_number(g, u, v) == \
-                    path_addition_number(g, u, v)
+                pred = predict_pair(g, u, v)
+                assert pred.adjacent == g.has_edge(u, v)
+                values = pred.gamma_values
+                for k in (1, 2, 3) if pred.adjacent else (1, 2, 3, 4):
+                    assert values[k] == domination_after_path(g, u, v, k)
+                if not pred.adjacent and values[4] == gamma:
+                    assert values[5] == domination_after_path(g, u, v, 5)
+                assert pred.pa == path_addition_number(g, u, v)
 
 
 @settings(max_examples=30, deadline=None)

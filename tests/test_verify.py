@@ -195,8 +195,8 @@ class TestRunner:
         assert report.suite_stats["chains"]["graphs"] == 0
         assert not report.passed
 
-    def test_table_renders(self, monkeypatch):
-        # corpus values and counterexamples are one-line JSON, never reprs
+    def test_table_renders(self, monkeypatch, tmp_path):
+        # corpus values, counterexamples and input errors are one-line JSON, never reprs
         report = run_verification(CorpusSpec.exhaustive(2), ["chains"])
         text = report.table()
         assert "chains" in text and "PASS" in text
@@ -207,6 +207,12 @@ class TestRunner:
         assert lines.splitlines()[3] == (
             '  counterexample: {"check":"max-adjacent-2","expected":2,"actual":3,'
             '"suite":"max-adjacent-2","graph6":"Ch"}')
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("C~\nnot!a!graph\nCh\n")
+        text = run_verification(CorpusSpec.from_file(str(corpus)), ["chains"]).table()
+        assert text.splitlines()[3] == (
+            '  input error: {"entry":1,"line":2,'
+            '"error":"character \'!\' outside graph6 range 63..126 (byte 3)"}')
         monkeypatch.setitem(SUITES, "chains", lambda g: (1, [
             {"check": "flag", "holds": True, "set": frozenset({2, 1})}]))
         text = run_verification(CorpusSpec.exhaustive(1, n_min=1), ["chains"]).table()
@@ -269,6 +275,21 @@ class TestRunner:
         assert folded_after[0] <= window
         assert len(drawn) == len(folded_after) == 76
         assert par == seq
+
+    @pytest.mark.parametrize("suites", [[], ()], ids=["empty-list", "empty-tuple"])
+    def test_no_suite_fails_before_drawing_a_graph(self, monkeypatch, suites):
+        drawn = []
+        entries = verify._entries
+
+        def counting_corpus(spec):
+            for item in entries(spec):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(verify, "_entries", counting_corpus)
+        with pytest.raises(ValueError, match="no suite selected; available: .*chains"):
+            run_verification(CorpusSpec.exhaustive(4), suites)
+        assert drawn == []
 
     @pytest.mark.parametrize("workers, bound", [("1", 1), ("2", 8)])
     def test_file_corpus_streams(self, tmp_path, monkeypatch, workers, bound):
