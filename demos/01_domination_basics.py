@@ -45,9 +45,8 @@ print("=== constrained queries ===\n")
 g = cycle(4)
 print("C4, force {0,1} into the set:",
       constrained_domination_number(g, include=[0, 1]))
-print("C4, force 0 in and forbid the rest:",
-      constrained_domination_number(g, include=[0], exclude=[1, 2, 3]),
-      "(None = no such dominating set exists)")
+print("C4, delete 0 (the path 1-2-3 is left, labels kept):",
+      constrained_domination_number(g, delete=[0]))
 print()
 
 print("=== private neighbors ===\n")

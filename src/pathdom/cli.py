@@ -22,7 +22,7 @@ from .formats import GraphFormatError, emit_edge_list, emit_graph6, jsonable, lo
 from .graphs import DEFAULT_ENUMERATION_CAP
 from .oracle import classify_regions, predict_pair
 from .path_addition import path_addition_number, path_addition_profile
-from .verify import CorpusSpec, DEFAULT_SUITES, SUITES, run_verification
+from .verify import CorpusSpec, DEFAULT_SUITES, SUITES, _compact, run_verification
 
 __all__ = ["main"]
 
@@ -275,7 +275,14 @@ def _cmd_verify(args) -> int:
             with open(args.json, "w", encoding="ascii") as fh:
                 fh.write(report.to_json())
             print(f"json report written to {args.json}")
-    return 0 if report.passed else 1
+    if not report.passed:
+        return 1
+    if report.input_errors:
+        # the report passed on fewer graphs than the corpus names
+        print(f"error: {len(report.input_errors)} malformed corpus entries; "
+              f"first: {_compact(report.input_errors[0])}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:

@@ -23,8 +23,8 @@ first in search order that beats the greedy size, then the first after
 it that beats that one, and so on; a node is cut only when it cannot
 beat the incumbent, so any admissible bound, however computed, yields
 the same witnesses.  The same search answers
-constrained queries (forced and forbidden vertices), vertex deletions
-without relabeling, and independent domination; ``shares_minimum_set``
+constrained queries (forced vertices), vertex deletions without
+relabeling, and independent domination; ``shares_minimum_set``
 is the pair relation behind the minimum-set shape predicates.  Every
 kernel answer is memoised once, in ``_search``, and every report of
 ``classify_vertices`` in ``_classify``.  Both caches are private, so a tracer
@@ -92,17 +92,17 @@ def _solve(
     closed: tuple[int, ...],
     n: int,
     include: int = 0,
-    exclude: int = 0,
     drop: int = 0,
     conflict: tuple[int, ...] | None = None,
-):
+) -> tuple[int, int]:
     """Minimum dominating set of the graph minus ``drop`` that contains
-    ``include`` and avoids ``exclude``.
+    ``include``, as (size, mask).
 
     Dropped vertices are neither candidates nor need to be dominated.
     With ``conflict``, choosing a vertex c also rules out every vertex of
-    ``conflict[c]`` (``conflict=nbr`` asks for an independent set).
-    Returns (size, mask) or None when no such set exists.
+    ``conflict[c]`` (``conflict=nbr`` asks for an independent set).  Such a
+    set always exists: an undominated vertex is its own candidate, and a
+    conflict rules it out only once a neighbour is chosen, dominating it.
     """
     # this is the hot path: scans over every vertex enumerate the rows, and
     # loops over a subset's bits are inlined (b = m & -m; ...; m ^= b)
@@ -113,20 +113,11 @@ def _solve(
         b = m & -m
         dominated |= closed[b.bit_length() - 1]
         m ^= b
-    allowed = full & ~exclude & ~include
-
+    allowed = full & ~include
     undom = full & ~dominated
-    # without exclude, every undominated vertex is its own candidate
-    m = undom if exclude else 0
-    while m:
-        b = m & -m
-        if not closed[b.bit_length() - 1] & allowed:
-            return None
-        m ^= b
 
     # greedy incumbent: repeatedly take the allowed vertex covering the most;
     # the first to reach the cap cannot be strictly beaten by a later one
-    best = [n + 1, None]
     mask, avail = include, allowed
     widest = max(map(int.bit_count, closed), default=0)
     while undom:
@@ -138,15 +129,12 @@ def _solve(
                 pick, pickcov = c, cov
                 if cov == cap:
                     break
-        if pick < 0:  # conflicts stranded a vertex: no incumbent
-            break
         mask |= 1 << pick
         undom &= ~closed[pick]
         avail &= ~(1 << pick)
         if conflict:
             avail &= ~conflict[pick]
-    else:
-        best = [mask.bit_count(), mask]
+    best = [mask.bit_count(), mask]
 
     def rec(size: int, mask: int, dominated: int, allowed: int) -> None:
         undom = full & ~dominated
@@ -208,7 +196,7 @@ def _solve(
             m ^= cbit
 
     rec(include.bit_count(), include, dominated, allowed)
-    return None if best[1] is None else (best[0], best[1])
+    return best[0], best[1]
 
 
 # one graph's work makes at most 2,220 distinct queries, so nothing is evicted
@@ -216,39 +204,31 @@ CACHE_SIZE = 1 << 13
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _search(g: Graph, include: int, exclude: int, drop: int, independent: bool):
-    """Memoised kernel answer; pass all five arguments positionally (one key)."""
-    return _solve(g.closed, g.n, include, exclude, drop, g.nbr if independent else None)
+def _search(g: Graph, include: int, drop: int, independent: bool) -> tuple[int, int]:
+    """Memoised kernel answer; pass all four arguments positionally (one key)."""
+    return _solve(g.closed, g.n, include, drop, g.nbr if independent else None)
 
 
 def domination_number(g: Graph) -> int:
-    return _search(g, 0, 0, 0, False)[0]
+    return _search(g, 0, 0, False)[0]
 
 
 def minimum_dominating_set(g: Graph) -> frozenset[int]:
     """A deterministic witness minimum dominating set."""
-    return set_of(_search(g, 0, 0, 0, False)[1])
+    return set_of(_search(g, 0, 0, False)[1])
 
 
 def constrained_domination_number(
-    g: Graph,
-    include: Iterable[int] = (),
-    exclude: Iterable[int] = (),
-    delete: Iterable[int] = (),
-) -> int | None:
+    g: Graph, *, include: Iterable[int] = (), delete: Iterable[int] = ()
+) -> int:
     """Minimum size of a dominating set of g minus ``delete`` forced to
-    contain ``include`` and avoid ``exclude``; None when no such set exists
-    (infeasible queries are ordinary data, not errors).  Labels stay those
-    of g: the deleted vertices are simply ignored, never relabeled."""
+    contain ``include``.  Labels stay those of g: the deleted vertices are
+    simply ignored, never relabeled."""
     inc = _checked_mask(g, include)
-    exc = _checked_mask(g, exclude)
     drop = _checked_mask(g, delete)
-    if inc & exc:
-        raise ValueError("include and exclude overlap")
     if inc & drop:
         raise ValueError("include and delete overlap")
-    res = _search(g, inc, exc, drop, False)
-    return None if res is None else res[0]
+    return _search(g, inc, drop, False)[0]
 
 
 def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
@@ -258,7 +238,7 @@ def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
 
 def independent_domination_number(g: Graph) -> int:
     """Minimum size of an independent dominating set (always exists)."""
-    return _search(g, 0, 0, 0, True)[0]
+    return _search(g, 0, 0, True)[0]
 
 
 def private_neighbors(g: Graph, x: int, group: Iterable[int]) -> frozenset[int]:
@@ -282,10 +262,10 @@ def classify_vertices(g: Graph) -> DominationReport:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _classify(g: Graph) -> DominationReport:
-    gamma, witness_mask = _search(g, 0, 0, 0, False)
-    # good via constrained search (forcing v in); neither query is infeasible
-    good = tuple(_search(g, 1 << v, 0, 0, False)[0] == gamma for v in range(g.n))
-    critical = tuple(_search(g, 0, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n))
+    gamma, witness_mask = _search(g, 0, 0, False)
+    # good via constrained search (forcing v in)
+    good = tuple(_search(g, 1 << v, 0, False)[0] == gamma for v in range(g.n))
+    critical = tuple(_search(g, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n))
     return DominationReport(
         gamma=gamma,
         witness=set_of(witness_mask),

@@ -150,16 +150,18 @@ def rook(n: int) -> Graph:
 
 Param = Union[int, "FamilySpec"]
 
+# name -> (generator, fewest and most integer parameters; None: no most)
 _SIMPLE = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "edgeless": (edgeless, 1),
-    "star": (star, 1),
-    "crown": (crown, 1),
-    "rook": (rook, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "generalized_petersen": (generalized_petersen, 2),
+    "path": (path, 1, 1),
+    "cycle": (cycle, 1, 1),
+    "complete": (complete, 1, 1),
+    "edgeless": (edgeless, 1, 1),
+    "star": (star, 1, 1),
+    "crown": (crown, 1, 1),
+    "rook": (rook, 1, 1),
+    "complete_bipartite": (complete_bipartite, 2, 2),
+    "generalized_petersen": (generalized_petersen, 2, 2),
+    "circulant": (lambda n, *distances: circulant(n, distances), 2, None),
 }
 _GRAPH_ARGS = {"corona": (corona, 1), "join": (join, 2), "cartesian_product": (cartesian_product, 2)}
 
@@ -168,32 +170,28 @@ class FamilySpec(NamedTuple):
     """A named family plus its parameters.
 
     ``params`` holds ints, except for corona/join/cartesian_product whose
-    arguments are nested FamilySpec values.  For circulant the first param
-    is n and ``distances`` is the generator set.
+    arguments are nested FamilySpec values.  For circulant they are n
+    followed by the distances, sorted and distinct.
     """
 
     family: str
     params: tuple = ()
-    distances: frozenset[int] = frozenset()
 
     def __str__(self) -> str:
-        if self.family == "circulant":
-            inner = ",".join(str(d) for d in sorted(self.distances))
-            return f"circulant({self.params[0]},{inner})"
         inner = ",".join(str(p) for p in self.params)
         return f"{self.family}({inner})"
 
 
 def generate_family(spec: FamilySpec) -> Graph:
     name = spec.family
-    if name == "circulant":
-        if len(spec.params) != 1:
-            raise ValueError("circulant takes one size parameter plus distances")
-        return circulant(spec.params[0], spec.distances)
     if name in _SIMPLE:
-        fn, arity = _SIMPLE[name]
-        if len(spec.params) != arity or not all(isinstance(p, int) for p in spec.params):
-            raise ValueError(f"{name} takes {arity} integer parameter(s)")
+        fn, fewest, most = _SIMPLE[name]
+        count = len(spec.params)
+        if not fewest <= count <= (most or count) or not all(
+            isinstance(p, int) for p in spec.params
+        ):
+            raise ValueError(f"{name} takes {fewest}{'' if most else ' or more'}"
+                             f" integer parameter(s)")
         return fn(*spec.params)
     if name in _GRAPH_ARGS:
         fn, arity = _GRAPH_ARGS[name]
@@ -221,7 +219,7 @@ def _parse_spec(s: str) -> tuple[FamilySpec, str]:
     if not m:
         raise ValueError(f"expected a family name at {s!r}")
     name = m.group(0)
-    if name != "circulant" and name not in _SIMPLE and name not in _GRAPH_ARGS:
+    if name not in _SIMPLE and name not in _GRAPH_ARGS:
         raise ValueError(f"unknown family {name!r}")
     rest = s[m.end():].lstrip()
     if not rest.startswith("("):
@@ -248,5 +246,5 @@ def _parse_spec(s: str) -> tuple[FamilySpec, str]:
     if name == "circulant":
         if len(args) < 2 or not all(isinstance(a, int) for a in args):
             raise ValueError("circulant(n, d1, d2, ...) needs integer arguments")
-        return FamilySpec("circulant", (args[0],), frozenset(args[1:])), rest
+        return FamilySpec("circulant", (args[0], *sorted(set(args[1:])))), rest
     return FamilySpec(name, tuple(args)), rest

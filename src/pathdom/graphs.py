@@ -70,23 +70,6 @@ class Graph:
         self._hash = hash((n, self.nbr))
 
     @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "Graph":
-        """Build a graph from neighborhood bitmasks, validating the invariants."""
-        masks = tuple(masks)
-        if len(masks) != n:
-            raise ValueError(f"expected {n} masks, got {len(masks)}")
-        full = (1 << n) - 1
-        for v, m in enumerate(masks):
-            if m & ~full:
-                raise ValueError(f"mask of vertex {v} mentions vertices outside 0..{n - 1}")
-            if m >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            for u in bits(m):
-                if not masks[u] >> v & 1:
-                    raise ValueError(f"adjacency is not symmetric between {u} and {v}")
-        return cls._from_trusted_masks(n, masks)
-
-    @classmethod
     def _from_trusted_masks(
         cls, n: int, masks: tuple[int, ...], closed: tuple[int, ...] | None = None
     ) -> "Graph":
@@ -103,12 +86,6 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         return set_of(self.nbr[v])
-
-    def closed_neighbors(self, v: int) -> frozenset[int]:
-        return set_of(self.closed[v])
-
-    def degree(self, v: int) -> int:
-        return self.nbr[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.nbr[u] >> v & 1)
@@ -159,10 +136,6 @@ class Graph:
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         m = mask_of(vertices)
         return all(self.nbr[v] & m == 0 for v in bits(m))
-
-    def is_clique(self, vertices: Iterable[int]) -> bool:
-        m = mask_of(vertices)
-        return all(self.closed[v] & m == m for v in bits(m))
 
     def is_vertex_cover(self, vertices: Iterable[int]) -> bool:
         """True when every edge has at least one endpoint in the given set."""

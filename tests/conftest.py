@@ -56,15 +56,36 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Permutation search; fine for the tiny fixtures that need it."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(
-        h.degree(v) for v in range(h.n)
-    ):
+    if sorted(m.bit_count() for m in g.nbr) != sorted(m.bit_count() for m in h.nbr):
         return False
     gedges = g.edges()
     for p in permutations(range(g.n)):
         if all(h.has_edge(p[u], p[v]) for u, v in gedges):
             return True
     return False
+
+
+def from_masks(n: int, masks: Iterable[int]) -> Graph:
+    """Build a graph from neighborhood bitmasks, validating the invariants
+    that the package's own constructors guarantee by construction."""
+    masks = tuple(masks)
+    if len(masks) != n:
+        raise ValueError(f"expected {n} masks, got {len(masks)}")
+    full = (1 << n) - 1
+    for v, m in enumerate(masks):
+        if m & ~full:
+            raise ValueError(f"mask of vertex {v} mentions vertices outside 0..{n - 1}")
+        if m >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        for u in bits(m):
+            if not masks[u] >> v & 1:
+                raise ValueError(f"adjacency is not symmetric between {u} and {v}")
+    return Graph._from_trusted_masks(n, masks)
+
+
+def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+    m = mask_of(vertices)
+    return all(g.closed[v] & m == m for v in bits(m))
 
 
 def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -85,14 +106,13 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int,
         for w in bits(g.nbr[old] & ~drop):
             m |= 1 << relabel[w]
         masks.append(m)
-    return Graph.from_masks(len(keep), masks), relabel
+    return from_masks(len(keep), masks), relabel
 
 
 def reference_solve(
     closed: tuple[int, ...],
     n: int,
     include: int = 0,
-    exclude: int = 0,
     drop: int = 0,
     conflict: tuple[int, ...] | None = None,
 ):
@@ -101,26 +121,20 @@ def reference_solve(
     sizes and witnesses can be compared exactly.
 
     Minimum dominating set of the graph minus ``drop`` that contains
-    ``include`` and avoids ``exclude``.
+    ``include``, as (size, mask).
 
     Dropped vertices are neither candidates nor need to be dominated.
     With ``conflict``, choosing a vertex c also rules out every vertex of
     ``conflict[c]`` (``conflict=nbr`` asks for an independent set).
-    Returns (size, mask) or None when no such set exists.
     """
     full = (1 << n) - 1 & ~drop
     dominated = 0
     for v in bits(include):
         dominated |= closed[v]
-    allowed = full & ~exclude & ~include
-
+    allowed = full & ~include
     undom = full & ~dominated
-    for w in bits(undom):
-        if not closed[w] & allowed:
-            return None
 
     # greedy incumbent: repeatedly take the allowed vertex covering the most
-    best = [n + 1, None]
     mask, avail = include, allowed
     while undom:
         pick, pickcov = -1, 0
@@ -128,15 +142,12 @@ def reference_solve(
             cov = (closed[c] & undom).bit_count()
             if cov > pickcov:
                 pick, pickcov = c, cov
-        if pick < 0:  # conflicts stranded a vertex: no incumbent
-            break
         mask |= 1 << pick
         undom &= ~closed[pick]
         avail &= ~(1 << pick)
         if conflict:
             avail &= ~conflict[pick]
-    else:
-        best = [mask.bit_count(), mask]
+    best = [mask.bit_count(), mask]
 
     def rec(size: int, mask: int, dominated: int, allowed: int) -> None:
         undom = full & ~dominated
@@ -169,4 +180,4 @@ def reference_solve(
                 rem & ~conflict[c] if conflict else rem)
 
     rec(include.bit_count(), include, dominated, allowed)
-    return None if best[1] is None else (best[0], best[1])
+    return best[0], best[1]

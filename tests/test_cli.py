@@ -222,6 +222,23 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "int()" not in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json", "-"]])
+    def test_partly_malformed_corpus_is_exit_2(self, tmp_path, capsys, json_flag):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("C~\nnot!a!graph\nCh\n")
+        report = tmp_path / "report.json"
+        assert main(["verify", "--mode", "file", "--file", str(corpus), "--suite", "chains",
+                     *(json_flag or ["--json", str(report)])]) == 2
+        out, err = capsys.readouterr()
+        if json_flag:
+            d = json.loads(out)
+        else:
+            assert "result: PASS" in out
+            d = json.loads(report.read_text())
+        assert d["pass"] is True and d["suites"]["chains"]["graphs"] == 2
+        assert err == ('error: 1 malformed corpus entries; first: {"entry":1,"line":2,'
+                       '"error":"character \'!\' outside graph6 range 63..126 (byte 3)"}\n')
+
     def test_file_mode_needs_file(self, capsys):
         assert main(["verify", "--mode", "file"]) == 2
 

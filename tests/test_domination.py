@@ -33,13 +33,14 @@ from pathdom.families import (
     star,
 )
 from pathdom.families import generate_family, parse_family_spec
-from pathdom.graphs import Graph, enumerate_labeled_graphs, mask_of
+from pathdom.graphs import Graph, bits, enumerate_labeled_graphs, mask_of, set_of
 from pathdom.path_addition import add_path
 from pathdom.verify import _brute_minimum_sets, random_graph
 
 from .conftest import (
     delete_vertices,
     graphs,
+    is_clique,
     naive_gamma,
     naive_independent_gamma,
     reference_solve,
@@ -96,11 +97,6 @@ class TestConstrained:
     def test_force_pair(self):
         assert constrained_domination_number(cycle(4), include=[0, 1]) == 2
 
-    def test_infeasible_is_value(self):
-        assert constrained_domination_number(
-            cycle(4), include=[0], exclude=[1, 2, 3]
-        ) is None
-
     def test_force_single_in_complete(self):
         assert constrained_domination_number(complete(3), include=[0]) == 1
 
@@ -108,24 +104,18 @@ class TestConstrained:
         g = path(6)
         assert constrained_domination_number(g) == domination_number(g)
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            constrained_domination_number(path(3), include=[0], exclude=[0])
+    def test_constraints_are_keyword_only(self):
+        # a positional set would otherwise be read as some other constraint
+        with pytest.raises(TypeError):
+            constrained_domination_number(path(3), [0], [1])
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(min_n=2, max_n=5), st.data())
     def test_monotone_in_constraints(self, g, data):
-        inc = data.draw(st.sets(st.integers(0, g.n - 1), max_size=2))
-        exc = data.draw(
-            st.sets(st.integers(0, g.n - 1).filter(lambda v: v not in inc), max_size=2)
-        )
-        base = constrained_domination_number(g)
-        constrained = constrained_domination_number(g, include=inc, exclude=exc)
-        if constrained is not None:
-            assert constrained >= base
-            # growing either side never shrinks the answer
-            relaxed = constrained_domination_number(g, include=inc)
-            assert relaxed is not None and relaxed <= constrained
+        inc = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2, unique=True))
+        # forcing more vertices in never shrinks the answer
+        sizes = [constrained_domination_number(g, include=inc[:i]) for i in range(len(inc) + 1)]
+        assert sizes == sorted(sizes) and sizes[0] == domination_number(g)
 
 
 class TestEnumeration:
@@ -249,7 +239,7 @@ class TestIndependentDomination:
 class TestPrivateNeighbors:
     def test_alone_gets_closed_neighborhood(self):
         g = cycle(5)
-        assert private_neighbors(g, 2, [2]) == g.closed_neighbors(2)
+        assert private_neighbors(g, 2, [2]) == set_of(g.closed[2])
 
     def test_c4(self):
         assert private_neighbors(cycle(4), 0, [0, 2]) == {0}
@@ -276,7 +266,7 @@ class TestSetShapePredicates:
     @given(graphs(max_n=6))
     def test_predicates_match_enumeration(self, g):
         sets = _brute_minimum_sets(g)
-        assert all_minimum_sets_cliques(g) == all(g.is_clique(s) for s in sets)
+        assert all_minimum_sets_cliques(g) == all(is_clique(g, s) for s in sets)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(min_n=2, max_n=6), st.data())
@@ -286,10 +276,35 @@ class TestSetShapePredicates:
         assert shares_minimum_set(g, u, v) == brute
 
 
+class TestKernelContract:
+    """Every query the kernel takes has an answer: an undominated vertex is
+    its own candidate, and a conflict rules it out only once a neighbour
+    is chosen."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(min_n=1, max_n=9), st.data())
+    def test_answer_is_a_constrained_dominating_set(self, g, data):
+        drop = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3).map(mask_of))
+        include = data.draw(st.lists(
+            st.integers(0, g.n - 1).filter(lambda v: not drop >> v & 1), max_size=2
+        ).map(mask_of))
+        keep = (1 << g.n) - 1 & ~drop
+        for conflict in (None, g.nbr):
+            size, mask = _solve(g.closed, g.n, include, drop, conflict)
+            assert mask & include == include and not mask & drop
+            dominated = 0
+            for v in bits(mask):
+                dominated |= g.closed[v]
+            assert dominated & keep == keep
+            assert mask.bit_count() == size
+            if conflict and not include:
+                assert g.is_independent_set(bits(mask))
+
+
 class TestKernelMatchesReference:
     """The kernel returns the reference search's size and witness mask
-    exactly, None included: its shortcuts only cut nodes that cannot beat
-    the incumbent, so the sequence of improvements is the same."""
+    exactly: its shortcuts only cut nodes that cannot beat the incumbent,
+    so the sequence of improvements is the same."""
 
     @settings(max_examples=300, deadline=None)
     @given(graphs(min_n=1, max_n=9), st.data())
@@ -297,10 +312,10 @@ class TestKernelMatchesReference:
         def some(k):
             return data.draw(st.lists(st.integers(0, g.n - 1), max_size=k).map(mask_of))
 
-        include, exclude, drop = some(2), some(3), some(2)
+        include, drop = some(2), some(2)
         for conflict in (None, g.nbr):
-            assert _solve(g.closed, g.n, include, exclude, drop, conflict) == (
-                reference_solve(g.closed, g.n, include, exclude, drop, conflict)
+            assert _solve(g.closed, g.n, include, drop, conflict) == (
+                reference_solve(g.closed, g.n, include, drop, conflict)
             )
 
     # three seeded 10-vertex graphs, and sparse families on which the
@@ -315,7 +330,7 @@ class TestKernelMatchesReference:
         for u, v in combinations(range(g.n), 2):
             for k in range(1, 6):
                 h = add_path(g, u, v, k)
-                assert _search(h, 0, 0, 0, False) == reference_solve(h.closed, h.n)
+                assert _search(h, 0, 0, False) == reference_solve(h.closed, h.n)
 
 
 class TestMemo:

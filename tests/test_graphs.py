@@ -10,7 +10,7 @@ from pathdom.graphs import (
 )
 from pathdom.families import complete, cycle, path
 
-from .conftest import brute_isomorphic, delete_vertices, graphs
+from .conftest import brute_isomorphic, delete_vertices, from_masks, graphs, is_clique
 
 
 class TestConstruction:
@@ -33,7 +33,7 @@ class TestConstruction:
 
     def test_from_masks_validates_symmetry(self):
         with pytest.raises(ValueError):
-            Graph.from_masks(2, [0b10, 0b00])
+            from_masks(2, [0b10, 0b00])
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])
@@ -94,7 +94,7 @@ class TestPredicates:
 
     def test_k3_pair(self):
         g = complete(3)
-        assert g.is_clique([0, 1])
+        assert is_clique(g, [0, 1])
         assert g.is_vertex_cover([0, 1])
 
     def test_p4_ends_not_cover(self):
