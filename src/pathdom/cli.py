@@ -163,27 +163,40 @@ def _run_graph_command(cmd: _GraphCommand, args) -> int:
 # -- the parser and the corpus commands ----------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one run.  Every subcommand is registered, but only the
+    one that ``command`` names gets its arguments (all do when it names
+    none), since a run parses a single subcommand."""
     ap = argparse.ArgumentParser(
         prog="pathdom",
         description="Exact domination numbers under path addition.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {name: (cmd.help, functools.partial(_graph_arguments, cmd))
+                for name, cmd in GRAPH_COMMANDS.items()}
+    commands["gen"] = ("emit a named family graph", _gen_arguments)
+    commands["verify"] = ("run verification suites over a corpus", _verify_arguments)
+    for name, (help_text, add_arguments) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if command == name or command not in commands:
+            add_arguments(p)
+    return ap
 
-    for name, cmd in GRAPH_COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        p.add_argument("file", nargs="?", default="-",
-                       help="graph file, '-' for standard input (default)")
-        p.add_argument("--format", choices=("auto", "graph6", "edgelist"),
-                       default="auto", help="input format (default: auto-detect)")
-        for flags, kwargs in cmd.options:
-            p.add_argument(*flags, **kwargs)
-        if cmd.json:
-            p.add_argument("--json", action="store_true",
-                           help="print the answer as JSON instead of text")
-        p.set_defaults(run=functools.partial(_run_graph_command, cmd))
 
-    p = sub.add_parser("gen", help="emit a named family graph")
+def _graph_arguments(cmd: _GraphCommand, p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", nargs="?", default="-",
+                   help="graph file, '-' for standard input (default)")
+    p.add_argument("--format", choices=("auto", "graph6", "edgelist"),
+                   default="auto", help="input format (default: auto-detect)")
+    for flags, kwargs in cmd.options:
+        p.add_argument(*flags, **kwargs)
+    if cmd.json:
+        p.add_argument("--json", action="store_true",
+                       help="print the answer as JSON instead of text")
+    p.set_defaults(run=functools.partial(_run_graph_command, cmd))
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    help="family spec, e.g. rook(3) or corona(path(2)); "
                         "a bare name combines with --params")
@@ -193,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     p.set_defaults(run=_cmd_gen)
 
-    p = sub.add_parser("verify", help="run verification suites over a corpus")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exhaustive", "random", "file", "family"),
                    default="exhaustive")
     p.add_argument("--n", default="4",
@@ -218,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default="",
                    help="write the JSON report to this path ('-' prints JSON only)")
     p.set_defaults(run=_cmd_verify)
-    return ap
 
 
 def _cmd_gen(args) -> int:
@@ -286,7 +299,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except (GraphFormatError, ValueError, OSError) as exc:

@@ -24,12 +24,28 @@ it that beats that one, and so on; a node is cut only when it cannot
 beat the incumbent, so any admissible bound, however computed, yields
 the same witnesses.  The same search answers
 constrained queries (forced vertices), vertex deletions without
-relabeling, and independent domination; ``shares_minimum_set``
-is the pair relation behind the minimum-set shape predicates.  Every
-kernel answer is memoised once, in ``_search``, and every report of
-``classify_vertices`` in ``_classify``.  Both caches are private, so a tracer
-that rebinds the public functions leaves them to ``clear_caches``, and
-``CACHE_SIZE`` bounds both.
+relabeling, and independent domination.
+
+Which vertices lie in some minimum dominating set, and which pairs share
+one, come from a second search, ``_relation``: for every vertex x, the
+union of the minimum dominating sets that contain x.  It visits every
+dominating set of size gamma with the kernel's branching, and each of
+them exactly once: a set is reached only through the first candidate of
+the branch vertex that it contains, since the earlier candidates are
+ruled out for the rest of that branch.  The coverage and packing bounds
+prune against the fixed target gamma, and the last vertex is taken in
+one batch, as all common candidate dominators of the still-undominated
+vertices; such a vertex's own row is then filled from the rows of the
+others, since sharing a set is symmetric.  It is a function of its own
+rather than a mode of ``_solve``, whose every node would otherwise test
+the mode.  ``shares_minimum_set``, ``all_minimum_sets_cliques``, ``good``
+and ``strong_equality`` all read it, so one search answers what would
+take one constrained solve per vertex and per pair.
+
+Every kernel answer is memoised once, in ``_search``; every relation in
+``_relation``; and every report of ``classify_vertices`` in ``_classify``.
+The three caches are private, so a tracer that rebinds the public
+functions leaves them to ``clear_caches``, and ``CACHE_SIZE`` bounds each.
 """
 
 from functools import lru_cache
@@ -209,6 +225,81 @@ def _search(g: Graph, include: int, drop: int, independent: bool) -> tuple[int, 
     return _solve(g.closed, g.n, include, drop, g.nbr if independent else None)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _relation(g: Graph) -> tuple[int, ...]:
+    """Row x is the union of the minimum dominating sets that contain x
+    (0 when x is in none), found by visiting every such set once."""
+    closed, n = g.closed, g.n
+    gamma = _search(g, 0, 0, False)[0]
+    full = (1 << n) - 1
+    rel = [0] * n
+    last = 0  # every vertex that completes some minimum set
+
+    def rec(size: int, mask: int, dominated: int, allowed: int) -> int:
+        # returns the union of the sets found below; the caller charges it
+        # to the vertex it added, which every one of those sets contains.
+        # A node below gamma never dominates: nothing smaller than gamma does
+        nonlocal last
+        undom = full & ~dominated
+        room = gamma - size
+        if room == 1:
+            # the last vertex is any common candidate dominator of undom
+            cand = allowed
+            m = undom
+            while m and cand:
+                b = m & -m
+                cand &= closed[b.bit_length() - 1]
+                m ^= b
+            last |= cand
+            return mask | cand if cand else 0
+        total = undom.bit_count()
+        for c, row in enumerate(closed):
+            if (row & undom).bit_count() * room >= total and allowed >> c & 1:
+                break
+        else:
+            return 0
+        w, wcount = -1, n + 1
+        packed, used = 0, 0
+        m = undom
+        while m:
+            b = m & -m
+            x = b.bit_length() - 1
+            cand = closed[x] & allowed
+            if not cand & used:
+                packed += 1
+                if packed > room:
+                    return 0
+                used |= cand
+            cnt = cand.bit_count()
+            if cnt < wcount:
+                w, wcount = x, cnt
+            m ^= b
+        found = 0
+        rem = allowed
+        m = closed[w] & allowed
+        while m:
+            cbit = m & -m
+            c = cbit.bit_length() - 1
+            rem &= ~cbit
+            sub = rec(size + 1, mask | cbit, dominated | closed[c], rem)
+            rel[c] |= sub
+            found |= sub
+            m ^= cbit
+        return found
+
+    if n:
+        rec(0, 0, 0, full)
+    # a last vertex's own row is filled from the rows of the sets' other
+    # members: sharing a set is symmetric
+    for x in bits(last):
+        rel[x] |= 1 << x
+    for x in range(n):
+        xbit = 1 << x
+        for y in bits(rel[x]):
+            rel[y] |= xbit
+    return tuple(rel)
+
+
 def domination_number(g: Graph) -> int:
     return _search(g, 0, 0, False)[0]
 
@@ -232,8 +323,11 @@ def constrained_domination_number(
 
 
 def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
-    """True iff some minimum dominating set contains both u and v."""
-    return constrained_domination_number(g, include=(u, v)) == domination_number(g)
+    """True iff some minimum dominating set contains both u and v (with
+    u == v: iff u lies in some minimum dominating set).  Every pair of one
+    graph is answered from a single search over its minimum sets."""
+    _checked_mask(g, (u, v))
+    return bool(_relation(g)[u] >> v & 1)
 
 
 def independent_domination_number(g: Graph) -> int:
@@ -263,8 +357,8 @@ def classify_vertices(g: Graph) -> DominationReport:
 @lru_cache(maxsize=CACHE_SIZE)
 def _classify(g: Graph) -> DominationReport:
     gamma, witness_mask = _search(g, 0, 0, False)
-    # good via constrained search (forcing v in)
-    good = tuple(_search(g, 1 << v, 0, False)[0] == gamma for v in range(g.n))
+    rel = _relation(g)
+    good = tuple(row != 0 for row in rel)
     critical = tuple(_search(g, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n))
     return DominationReport(
         gamma=gamma,
@@ -274,17 +368,18 @@ def _classify(g: Graph) -> DominationReport:
         critical=critical,
         critical_vertices=frozenset(v for v in range(g.n) if critical[v]),
         independent_domination_number=independent_domination_number(g),
-        strong_equality=not any(shares_minimum_set(g, u, v) for u, v in g.edges()),
+        strong_equality=not any(row & nbr for row, nbr in zip(rel, g.nbr)),
     )
 
 
 def all_minimum_sets_cliques(g: Graph) -> bool:
     """True iff every minimum dominating set induces a complete subgraph:
     no nonadjacent pair shares one."""
-    return not any(shares_minimum_set(g, u, v) for u, v in g.non_edges())
+    return not any(row & ~closed for row, closed in zip(_relation(g), g.closed))
 
 
 def clear_caches() -> None:
     """Drop all per-graph memoization; corpus runs call it once per graph."""
     _search.cache_clear()
+    _relation.cache_clear()
     _classify.cache_clear()

@@ -53,15 +53,18 @@ def add_path(g: Graph, u: int, v: int, k: int) -> Graph:
     if k == 0 and g.has_edge(u, v):
         return g
     # only the endpoints' rows change and the path's rows are new, so the
-    # base graph's closed rows are reused rather than rebuilt
-    masks = list(g.nbr) + [0] * k
-    closed = list(g.closed) + [1 << x for x in range(n, n + k)]
-    chain = [u, *range(n, n + k), v]
-    for a, b in zip(chain, chain[1:]):
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-        closed[a] |= 1 << b
-        closed[b] |= 1 << a
+    # base graph's rows are copied rather than rebuilt
+    masks, closed = list(g.nbr), list(g.closed)
+    ubit, vbit = (1 << v, 1 << u) if k == 0 else (1 << n, 1 << n + k - 1)
+    masks[u] |= ubit
+    closed[u] |= ubit
+    masks[v] |= vbit
+    closed[v] |= vbit
+    last = n + k - 1
+    for x in range(n, n + k):
+        row = (1 << u if x == n else 1 << x - 1) | (1 << v if x == last else 1 << x + 1)
+        masks.append(row)
+        closed.append(row | 1 << x)
     return Graph._from_trusted_masks(n + k, tuple(masks), tuple(closed))
 
 

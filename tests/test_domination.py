@@ -1,6 +1,7 @@
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -9,6 +10,7 @@ from pathdom import domination
 from pathdom.domination import (
     CACHE_SIZE,
     _classify,
+    _relation,
     _search,
     _solve,
     all_minimum_sets_cliques,
@@ -181,7 +183,8 @@ class TestClassify:
         assert rep.strong_equality == brute
 
     def test_cycle30_without_set_enumeration(self):
-        # one constrained solve per edge, not a scan of all C(30, 10) subsets
+        # one search over its three minimum sets, not a scan of all C(30, 10)
+        # subsets
         rep = classify_vertices(cycle(30))
         assert rep.gamma == 10
         assert rep.strong_equality
@@ -333,9 +336,49 @@ class TestKernelMatchesReference:
                 assert _search(h, 0, 0, False) == reference_solve(h.closed, h.n)
 
 
+class TestRelation:
+    """One search per graph answers every "pair shares a minimum dominating
+    set" query, ``good`` and ``strong_equality``: it agrees with the
+    enumerated minimum sets where those are in reach, and with one
+    include-pair solve per pair beyond them."""
+
+    def test_atlas_matches_enumerated_sets(self):
+        for h in nx.graph_atlas_g():  # every graph on at most 7 vertices
+            g = Graph(h.number_of_nodes(), list(h.edges()))
+            sets = _brute_minimum_sets(g)
+            rep = classify_vertices(g)
+            assert rep.good == tuple(any(x in s for s in sets) for x in range(g.n))
+            assert rep.strong_equality == all(g.is_independent_set(s) for s in sets)
+            for u, v in product(range(g.n), repeat=2):
+                assert shares_minimum_set(g, u, v) == any(u in s and v in s for s in sets)
+            clear_caches()
+
+    # beyond brute force; rook(5) has 2 * 5^5 - 5! = 6,130 minimum sets
+    @pytest.mark.parametrize("spec", [
+        "rook(4)", "rook(5)", "corona(path(8))", "generalized_petersen(10,3)",
+        "complete_bipartite(6,8)"])
+    def test_matches_include_pair_solves(self, spec):
+        g = generate_family(parse_family_spec(spec))
+        gamma = domination_number(g)
+
+        def shares(u, v):
+            return constrained_domination_number(g, include=(u, v)) == gamma
+
+        rep = classify_vertices(g)
+        assert rep.good == tuple(shares(x, x) for x in range(g.n))
+        assert rep.strong_equality == (not any(shares(u, v) for u, v in g.edges()))
+        for u, v in combinations_with_replacement(range(g.n), 2):
+            assert shares_minimum_set(g, u, v) == shares_minimum_set(g, v, u) == shares(u, v)
+
+    def test_out_of_range_pair_rejected(self):
+        with pytest.raises(ValueError):
+            shares_minimum_set(path(3), 0, 3)
+
+
 class TestMemo:
-    """Every kernel answer lives in one bounded memo, ``_search``;
-    ``classify_vertices`` reads the only other cache, ``_classify``."""
+    """Every kernel answer lives in one bounded memo, ``_search``; every
+    graph's minimum-set relation in ``_relation``; and ``classify_vertices``
+    reads the only other cache, ``_classify``."""
 
     def test_one_query_is_one_entry(self):
         clear_caches()
@@ -353,16 +396,17 @@ class TestMemo:
         clear_caches()
         for g in enumerate_labeled_graphs(6):  # 32,768 graphs, never cleared
             classify_vertices(g)
-        for cached in (_search, _classify):
+        for cached in (_search, _relation, _classify):
             info = cached.cache_info()
             assert info.maxsize == CACHE_SIZE
             assert info.misses > CACHE_SIZE >= info.currsize
         clear_caches()
 
-    def test_clear_caches_empties_both(self):
+    def test_clear_caches_empties_every_cache(self):
         classify_vertices(cycle(6))
         clear_caches()
-        assert _search.cache_info().currsize == _classify.cache_info().currsize == 0
+        for cached in (_search, _relation, _classify):
+            assert cached.cache_info().currsize == 0
 
     def test_clear_caches_survives_rebound_public_names(self, monkeypatch):
         # a tracer replaces public functions with plain wrappers
@@ -370,5 +414,7 @@ class TestMemo:
             fn = getattr(domination, name)
             monkeypatch.setattr(domination, name, lambda g, fn=fn: fn(g))
         domination.classify_vertices(cycle(6))
+        assert _relation.cache_info().currsize
         domination.clear_caches()
-        assert _search.cache_info().currsize == _classify.cache_info().currsize == 0
+        for cached in (_search, _relation, _classify):
+            assert cached.cache_info().currsize == 0
