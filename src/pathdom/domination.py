@@ -28,19 +28,26 @@ relabeling, and independent domination.
 
 Which vertices lie in some minimum dominating set, and which pairs share
 one, come from a second search, ``_relation``: for every vertex x, the
-union of the minimum dominating sets that contain x.  It visits every
-dominating set of size gamma with the kernel's branching, and each of
-them exactly once: a set is reached only through the first candidate of
+union of the minimum dominating sets that contain x.  It searches the
+dominating sets of size gamma with the kernel's branching, which reaches
+each of them once: a set is reached only through the first candidate of
 the branch vertex that it contains, since the earlier candidates are
 ruled out for the rest of that branch.  The coverage and packing bounds
 prune against the fixed target gamma, and the last vertex is taken in
 one batch, as all common candidate dominators of the still-undominated
-vertices; such a vertex's own row is then filled from the rows of the
-others, since sharing a set is symmetric.  It is a function of its own
-rather than a mode of ``_solve``, whose every node would otherwise test
-the mode.  ``shares_minimum_set``, ``all_minimum_sets_cliques``, ``good``
-and ``strong_equality`` all read it, so one search answers what would
-take one constrained solve per vertex and per pair.
+vertices.  What a node finds below depends only on its undominated
+vertices, the allowed vertices that still dominate one of them, and its
+room, so each such state is searched once: branches that dominate the
+same vertices meet again, and a graph of k disjoint pendant pairs takes
+about 2k nodes for its 2^k minimum sets.  Sharing a set is symmetric, so
+each row is then completed from the others.  The search stops after
+``_NODES_PER_SOLVE`` nodes for every include-one and edge solve it
+replaces, and the answers then come from those solves, one per vertex or
+pair asked about; both routes give the same answers.  It is a function
+of its own rather than a mode of ``_solve``: it differs at the target,
+the returned union, the state memo and the budget, and each would be a
+branch in the kernel.  ``shares_minimum_set``, ``all_minimum_sets_cliques``,
+``good`` and ``strong_equality`` all read it through ``_shares``.
 
 Every kernel answer is memoised once, in ``_search``; every relation in
 ``_relation``; and every report of ``classify_vertices`` in ``_classify``.
@@ -225,23 +232,37 @@ def _search(g: Graph, include: int, drop: int, independent: bool) -> tuple[int, 
     return _solve(g.closed, g.n, include, drop, g.nbr if independent else None)
 
 
+# the relation search gives up past this many nodes for every include-one
+# and edge solve it replaces; on the named families those solves take from
+# 1 to about 700 nodes each
+_NODES_PER_SOLVE = 64
+
+
+class _GiveUp(Exception):
+    """The relation search went past its node budget."""
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _relation(g: Graph) -> tuple[int, ...]:
+def _relation(g: Graph) -> tuple[int, ...] | None:
     """Row x is the union of the minimum dominating sets that contain x
-    (0 when x is in none), found by visiting every such set once."""
+    (0 when x is in none); None when the search went past its budget."""
     closed, n = g.closed, g.n
     gamma = _search(g, 0, 0, False)[0]
     full = (1 << n) - 1
     rel = [0] * n
     last = 0  # every vertex that completes some minimum set
+    seen: dict[tuple[int, int, int], int] = {}
+    budget = _NODES_PER_SOLVE * (n + g.edge_count)
 
-    def rec(size: int, mask: int, dominated: int, allowed: int) -> int:
-        # returns the union of the sets found below; the caller charges it
-        # to the vertex it added, which every one of those sets contains.
-        # A node below gamma never dominates: nothing smaller than gamma does
-        nonlocal last
+    def rec(dominated: int, allowed: int, room: int) -> int:
+        # returns the union of the vertices added below in the sets found;
+        # the caller charges it to the vertex it added.  A node short of
+        # gamma never dominates: nothing smaller than gamma does
+        nonlocal last, budget
+        budget -= 1
+        if budget < 0:
+            raise _GiveUp
         undom = full & ~dominated
-        room = gamma - size
         if room == 1:
             # the last vertex is any common candidate dominator of undom
             cand = allowed
@@ -251,20 +272,24 @@ def _relation(g: Graph) -> tuple[int, ...]:
                 cand &= closed[b.bit_length() - 1]
                 m ^= b
             last |= cand
-            return mask | cand if cand else 0
+            return cand
         total = undom.bit_count()
         for c, row in enumerate(closed):
             if (row & undom).bit_count() * room >= total and allowed >> c & 1:
                 break
         else:
             return 0
+        # the packing pass also collects reach, the allowed vertices that
+        # still dominate something: no other one is in a set found below,
+        # or dropping it would leave a dominating set smaller than gamma
         w, wcount = -1, n + 1
-        packed, used = 0, 0
+        packed, used, reach = 0, 0, 0
         m = undom
         while m:
             b = m & -m
             x = b.bit_length() - 1
             cand = closed[x] & allowed
+            reach |= cand
             if not cand & used:
                 packed += 1
                 if packed > room:
@@ -274,6 +299,12 @@ def _relation(g: Graph) -> tuple[int, ...]:
             if cnt < wcount:
                 w, wcount = x, cnt
             m ^= b
+        # what is found below depends on these three alone, and branches
+        # that dominate the same vertices meet here again
+        key = (undom, reach, room)
+        found = seen.get(key)
+        if found is not None:
+            return found
         found = 0
         rem = allowed
         m = closed[w] & allowed
@@ -281,16 +312,22 @@ def _relation(g: Graph) -> tuple[int, ...]:
             cbit = m & -m
             c = cbit.bit_length() - 1
             rem &= ~cbit
-            sub = rec(size + 1, mask | cbit, dominated | closed[c], rem)
-            rel[c] |= sub
-            found |= sub
+            sub = rec(dominated | closed[c], rem, room - 1)
+            if sub:
+                sub |= cbit
+                rel[c] |= sub
+                found |= sub
             m ^= cbit
+        seen[key] = found
         return found
 
     if n:
-        rec(0, 0, 0, full)
-    # a last vertex's own row is filled from the rows of the sets' other
-    # members: sharing a set is symmetric
+        try:
+            rec(0, full, gamma)
+        except _GiveUp:
+            return None
+    # each row so far holds only what was added below its vertex: the rest
+    # is filled by symmetry, and a last vertex's own bit from ``last``
     for x in bits(last):
         rel[x] |= 1 << x
     for x in range(n):
@@ -298,6 +335,14 @@ def _relation(g: Graph) -> tuple[int, ...]:
         for y in bits(rel[x]):
             rel[y] |= xbit
     return tuple(rel)
+
+
+def _shares(g: Graph, rel: tuple[int, ...] | None, u: int, v: int) -> bool:
+    """Whether some minimum dominating set holds u and v: read from
+    ``rel = _relation(g)``, or one include-pair solve when that is None."""
+    if rel is None:
+        return _search(g, 1 << u | 1 << v, 0, False)[0] == _search(g, 0, 0, False)[0]
+    return bool(rel[u] >> v & 1)
 
 
 def domination_number(g: Graph) -> int:
@@ -325,9 +370,10 @@ def constrained_domination_number(
 def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
     """True iff some minimum dominating set contains both u and v (with
     u == v: iff u lies in some minimum dominating set).  Every pair of one
-    graph is answered from a single search over its minimum sets."""
+    graph is answered from a single search over its minimum sets, or, when
+    that search passes its node budget, from one include-pair solve."""
     _checked_mask(g, (u, v))
-    return bool(_relation(g)[u] >> v & 1)
+    return _shares(g, _relation(g), u, v)
 
 
 def independent_domination_number(g: Graph) -> int:
@@ -358,7 +404,7 @@ def classify_vertices(g: Graph) -> DominationReport:
 def _classify(g: Graph) -> DominationReport:
     gamma, witness_mask = _search(g, 0, 0, False)
     rel = _relation(g)
-    good = tuple(row != 0 for row in rel)
+    good = tuple(_shares(g, rel, v, v) for v in range(g.n))
     critical = tuple(_search(g, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n))
     return DominationReport(
         gamma=gamma,
@@ -368,14 +414,15 @@ def _classify(g: Graph) -> DominationReport:
         critical=critical,
         critical_vertices=frozenset(v for v in range(g.n) if critical[v]),
         independent_domination_number=independent_domination_number(g),
-        strong_equality=not any(row & nbr for row, nbr in zip(rel, g.nbr)),
+        strong_equality=not any(_shares(g, rel, u, v) for u, v in g.edges()),
     )
 
 
 def all_minimum_sets_cliques(g: Graph) -> bool:
     """True iff every minimum dominating set induces a complete subgraph:
     no nonadjacent pair shares one."""
-    return not any(row & ~closed for row, closed in zip(_relation(g), g.closed))
+    rel = _relation(g)
+    return not any(_shares(g, rel, u, v) for u, v in g.non_edges())
 
 
 def clear_caches() -> None:

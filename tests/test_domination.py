@@ -27,8 +27,10 @@ from pathdom.domination import (
 from pathdom.families import (
     complete,
     complete_bipartite,
+    corona,
     crown,
     cycle,
+    edgeless,
     join,
     path,
     rook,
@@ -336,19 +338,42 @@ class TestKernelMatchesReference:
                 assert _search(h, 0, 0, False) == reference_solve(h.closed, h.n)
 
 
+@pytest.fixture(params=["search", "pair solves"])
+def route(request, monkeypatch):
+    """Both routes to shared-set answers: the relation search, and the
+    include-pair solves it falls back to past its budget (here at once)."""
+    clear_caches()
+    if request.param == "pair solves":
+        monkeypatch.setattr(domination, "_NODES_PER_SOLVE", 0)
+    yield request.param
+    clear_caches()
+
+
+def triangle_chain(k: int) -> Graph:
+    """Triangles a_i b_i c_i with the b_i on a path, the a_i labelled first:
+    all 3^k choices of one vertex per triangle are the minimum sets."""
+    edges = [(i, k + i) for i in range(k)] + [(k + i, 2 * k + i) for i in range(k)]
+    edges += [(i, 2 * k + i) for i in range(k)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph(3 * k, edges)
+
+
 class TestRelation:
     """One search per graph answers every "pair shares a minimum dominating
     set" query, ``good`` and ``strong_equality``: it agrees with the
     enumerated minimum sets where those are in reach, and with one
-    include-pair solve per pair beyond them."""
+    include-pair solve per pair beyond them.  Past its node budget the
+    answers come from those solves instead, and they are the same."""
 
-    def test_atlas_matches_enumerated_sets(self):
+    def test_atlas_matches_enumerated_sets(self, route):
         for h in nx.graph_atlas_g():  # every graph on at most 7 vertices
             g = Graph(h.number_of_nodes(), list(h.edges()))
             sets = _brute_minimum_sets(g)
             rep = classify_vertices(g)
+            # the empty graph's search makes no node
+            assert (_relation(g) is None) == (route == "pair solves" and g.n > 0)
             assert rep.good == tuple(any(x in s for s in sets) for x in range(g.n))
             assert rep.strong_equality == all(g.is_independent_set(s) for s in sets)
+            assert all_minimum_sets_cliques(g) == all(is_clique(g, s) for s in sets)
             for u, v in product(range(g.n), repeat=2):
                 assert shares_minimum_set(g, u, v) == any(u in s and v in s for s in sets)
             clear_caches()
@@ -357,7 +382,7 @@ class TestRelation:
     @pytest.mark.parametrize("spec", [
         "rook(4)", "rook(5)", "corona(path(8))", "generalized_petersen(10,3)",
         "complete_bipartite(6,8)"])
-    def test_matches_include_pair_solves(self, spec):
+    def test_matches_include_pair_solves(self, spec, route):
         g = generate_family(parse_family_spec(spec))
         gamma = domination_number(g)
 
@@ -365,10 +390,33 @@ class TestRelation:
             return constrained_domination_number(g, include=(u, v)) == gamma
 
         rep = classify_vertices(g)
+        assert (_relation(g) is None) == (route == "pair solves")
         assert rep.good == tuple(shares(x, x) for x in range(g.n))
         assert rep.strong_equality == (not any(shares(u, v) for u, v in g.edges()))
+        assert all_minimum_sets_cliques(g) == (not any(shares(u, v) for u, v in g.non_edges()))
         for u, v in combinations_with_replacement(range(g.n), 2):
             assert shares_minimum_set(g, u, v) == shares_minimum_set(g, v, u) == shares(u, v)
+
+    # 2^20 and 3^12 minimum sets, but branches that dominate the same
+    # vertices meet again: two nodes per replaced solve are enough
+    @pytest.mark.parametrize("g, k", [(corona(edgeless(20)), 20), (triangle_chain(12), 12)])
+    def test_many_minimum_sets_few_states(self, g, k, monkeypatch):
+        clear_caches()
+        monkeypatch.setattr(domination, "_NODES_PER_SOLVE", 2)
+        rel = _relation(g)
+        assert rel is not None
+        # one vertex per pendant pair or triangle, chosen freely
+        for x, y in product(range(g.n), repeat=2):
+            assert (rel[x] >> y & 1) == (x == y or x % k != y % k)
+        clear_caches()
+
+    def test_budget_sides(self):
+        # rook(6)'s 92,592 minimum sets take the search; rook(7) passes
+        # its budget and is answered by pair solves
+        clear_caches()
+        assert _relation(rook(6)) is not None
+        assert _relation(rook(7)) is None
+        clear_caches()
 
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(ValueError):
