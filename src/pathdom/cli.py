@@ -164,22 +164,26 @@ def _run_graph_command(cmd: _GraphCommand, args) -> int:
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for one run.  Every subcommand is registered, but only the
-    one that ``command`` names gets its arguments (all do when it names
-    none), since a run parses a single subcommand."""
+    """The parser for one run.  A run parses a single subcommand, so only
+    the one that ``command`` names is registered; all are when it names
+    none (help, no command, an unknown one), to list them."""
     ap = argparse.ArgumentParser(
         prog="pathdom",
         description="Exact domination numbers under path addition.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
     commands = {name: (cmd.help, functools.partial(_graph_arguments, cmd))
                 for name, cmd in GRAPH_COMMANDS.items()}
     commands["gen"] = ("emit a named family graph", _gen_arguments)
     commands["verify"] = ("run verification suites over a corpus", _verify_arguments)
+    if command in commands:
+        # usage lines still name every subcommand
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(commands) + "}")
+        commands = {command: commands[command]}
+    else:
+        sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        if command == name or command not in commands:
-            add_arguments(p)
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 

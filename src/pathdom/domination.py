@@ -11,11 +11,16 @@ algorithms for dominating set", Discrete Appl. Math. 159, 2011):
 undominated vertices whose candidate dominators are pairwise disjoint
 each need their own new vertex; they are counted in the same pass that
 picks the branch vertex, which stops as soon as the count rules the node
-out.  A node with room for one more vertex only (the incumbent is two
-above its size) is settled without branching: the vertices that
-complete the set are the common candidate dominators of its undominated
-vertices, and the lowest of them is the child the search would reach
-first.  The greedy pick stops at the first vertex whose coverage
+out.  That pass builds two such packings and cuts on either: one in label
+order, and one that takes first the vertices with at most two candidate
+dominators, such as pendant vertices, and then the rest in label order
+in one more pass.  A wider vertex counted first would block them: in a
+corona the label-order packing counts the base vertices and misses the
+count that closes the node.  A node with room for one more vertex only
+(the incumbent is two above its size) is settled without branching: the
+vertices that complete the set are the common candidate dominators of
+its undominated vertices, and the lowest of them is the child the search
+would reach first.  The greedy pick stops at the first vertex whose coverage
 reaches the most any vertex could cover, since no later one can
 strictly beat it.  Results are exact and deterministic, including the
 witness sets.  With the branching order fixed, the recorded set is the
@@ -191,9 +196,12 @@ def _solve(
         # branch vertex: undominated with fewest candidate dominators.  The
         # same pass counts undominated vertices whose candidate sets are
         # disjoint from those counted before (a packing bound): each needs
-        # its own new vertex
+        # its own new vertex.  It builds two packings: one in label order,
+        # and one of the narrow vertices (at most two candidates), which a
+        # wider vertex counted first would block, as a base vertex of a
+        # corona blocks its pendant
         w, wcount = -1, n + 1
-        packed, used = 0, 0
+        packed, used, npacked, nused = 0, 0, 0, 0
         m = undom
         while m:
             b = m & -m
@@ -207,7 +215,26 @@ def _solve(
             cnt = cand.bit_count()
             if cnt < wcount:
                 w, wcount = x, cnt
+            if cnt <= 2 and not cand & nused:
+                npacked += 1
+                if npacked >= room:
+                    return
+                nused |= cand
             m ^= b
+        if npacked:
+            # extend the narrow packing by the rest, in label order (a vertex
+            # without candidates may count twice, but then the node has no
+            # child anyway)
+            m = undom
+            while m:
+                b = m & -m
+                cand = closed[b.bit_length() - 1] & allowed
+                if not cand & nused:
+                    npacked += 1
+                    if npacked >= room:
+                        return
+                    nused |= cand
+                m ^= b
         rem = allowed
         m = closed[w] & allowed
         while m:

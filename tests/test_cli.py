@@ -265,3 +265,17 @@ def test_usage_error_exit_code():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus-command"], ["gamma", "--bogus"], ["gamma", "-h"],
+    ["pa", "-"], ["verify", "--mode", "nope"], ["gen"]])
+def test_one_registered_subcommand_prints_the_same(argv, capsys):
+    """A run registers only the subcommand that it names; its usage, help
+    and error lines are those of the parser with every subcommand."""
+    def run(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert run(cli._build_parser(argv[0] if argv else None)) == run(cli._build_parser())

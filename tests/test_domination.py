@@ -323,15 +323,22 @@ class TestKernelMatchesReference:
                 reference_solve(g.closed, g.n, include, drop, conflict)
             )
 
-    # three seeded 10-vertex graphs, and sparse families on which the
-    # packing bound and the early scan exits fire on most nodes
+    # three seeded 10-vertex graphs, sparse families on which the packing
+    # bound and the early scan exits fire on most nodes, and pendant-rich
+    # graphs, on which the packing of vertices with at most two candidates
+    # comes out ahead of the label-order one.  The greedy cover is already
+    # minimum on the named ones; the sparse random graph has leaves where
+    # it is not, so a cut made too early there changes a witness
     @pytest.mark.parametrize("source", [
-        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))"])
+        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
+        "corona(path(4))", "corona(cycle(4))", "star(6)",
+        pytest.param((0.15, 10), id="sparse-10")])
     def test_every_path_addition(self, source):
-        if isinstance(source, int):
-            g = random_graph(10, 0.3, random.Random(source))
-        else:
+        if isinstance(source, str):
             g = generate_family(parse_family_spec(source))
+        else:
+            p, seed = source if isinstance(source, tuple) else (0.3, source)
+            g = random_graph(10, p, random.Random(seed))
         for u, v in combinations(range(g.n), 2):
             for k in range(1, 6):
                 h = add_path(g, u, v, k)
