@@ -16,7 +16,8 @@ order, and one that takes first the vertices with at most two candidate
 dominators, such as pendant vertices, and then the rest in label order
 in one more pass.  A wider vertex counted first would block them: in a
 corona the label-order packing counts the base vertices and misses the
-count that closes the node.  A node with room for one more vertex only
+count that closes the node.  The extra pass runs only where the two
+packings can differ, when the label-order one left out a narrow vertex.  A node with room for one more vertex only
 (the incumbent is two above its size) is settled without branching: the
 vertices that complete the set are the common candidate dominators of
 its undominated vertices, and the lowest of them is the child the search
@@ -197,35 +198,47 @@ def _solve(
         # same pass counts undominated vertices whose candidate sets are
         # disjoint from those counted before (a packing bound): each needs
         # its own new vertex.  It builds two packings: one in label order,
-        # and one of the narrow vertices (at most two candidates), which a
-        # wider vertex counted first would block, as a base vertex of a
-        # corona blocks its pendant
+        # and one that starts with the narrow vertices (at most two
+        # candidates), which a wider vertex counted first can block, as a
+        # base vertex of a corona blocks its pendant
         w, wcount = -1, n + 1
-        packed, used, npacked, nused = 0, 0, 0, 0
+        packed, used, npacked, nused, lost = 0, 0, 0, 0, False
         m = undom
         while m:
             b = m & -m
             x = b.bit_length() - 1
             cand = closed[x] & allowed
+            cnt = cand.bit_count()
+            if cnt < wcount:
+                w, wcount = x, cnt
+            if cnt <= 2:
+                if cand & used:
+                    lost = True
+                if not cand & nused:
+                    npacked += 1
+                    if npacked >= room:
+                        return
+                    nused |= cand
             if not cand & used:
                 packed += 1
                 if packed >= room:
                     return
                 used |= cand
-            cnt = cand.bit_count()
-            if cnt < wcount:
-                w, wcount = x, cnt
-            if cnt <= 2 and not cand & nused:
-                npacked += 1
-                if npacked >= room:
-                    return
-                nused |= cand
             m ^= b
-        if npacked:
-            # extend the narrow packing by the rest, in label order (a vertex
-            # without candidates may count twice, but then the node has no
-            # child anyway)
-            m = undom
+        if lost:
+            # extend the narrow packing by the rest, in label order.  Unless
+            # the label-order packing left out a narrow vertex, the two
+            # packings are the same.  Only vertices outside the closed
+            # neighbourhoods of its candidates can join it, so too few of
+            # them cannot fill the room (a vertex without candidates may
+            # count twice, but then the node has no child anyway)
+            free = undom
+            m = nused
+            while m:
+                b = m & -m
+                free &= ~closed[b.bit_length() - 1]
+                m ^= b
+            m = free if npacked + free.bit_count() >= room else 0
             while m:
                 b = m & -m
                 cand = closed[b.bit_length() - 1] & allowed
