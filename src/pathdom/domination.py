@@ -17,14 +17,15 @@ dominators, such as pendant vertices, and then the rest in label order
 in one more pass.  A wider vertex counted first would block them: in a
 corona the label-order packing counts the base vertices and misses the
 count that closes the node.  The extra pass runs only where the two
-packings can differ, when the label-order one left out a narrow vertex.  A node with room for one more vertex only
-(the incumbent is two above its size) is settled without branching: the
-vertices that complete the set are the common candidate dominators of
-its undominated vertices, and the lowest of them is the child the search
-would reach first.  The greedy pick stops at the first vertex whose coverage
-reaches the most any vertex could cover, since no later one can
-strictly beat it.  Results are exact and deterministic, including the
-witness sets.  With the branching order fixed, the recorded set is the
+packings can differ, when the label-order one left out a narrow vertex.
+A node with room for one more vertex only (the incumbent is two above
+its size) is settled without branching: the vertices that complete the
+set are the common candidate dominators of its undominated vertices, and
+the lowest of them is the child the search would reach first.  The
+greedy pick stops at the first vertex whose coverage reaches the most
+any vertex could cover, since no later one can strictly beat it.
+Results are exact and deterministic, including the witness sets.  With
+the branching order fixed, the recorded set is the
 first in search order that beats the greedy size, then the first after
 it that beats that one, and so on; a node is cut only when it cannot
 beat the incumbent, so any admissible bound, however computed, yields

@@ -325,10 +325,10 @@ class TestKernelMatchesReference:
 
     # three seeded 10-vertex graphs, sparse families on which the packing
     # bound and the early scan exits fire on most nodes, and pendant-rich
-    # graphs, on which the packing of vertices with at most two candidates
-    # comes out ahead of the label-order one.  The greedy cover is already
-    # minimum on the named ones; the sparse random graph has leaves where
-    # it is not, so a cut made too early there changes a witness
+    # graphs, on which the packing that starts with the vertices with at
+    # most two candidates comes out ahead of the label-order one.  The
+    # sparse random graph has leaves where the greedy cover is not minimum,
+    # so a cut of that packing made too early changes a witness there
     @pytest.mark.parametrize("source", [
         1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
         "corona(path(4))", "corona(cycle(4))", "star(6)",
