@@ -202,7 +202,7 @@ def _solve(
         # and one that starts with the narrow vertices (at most two
         # candidates), which a wider vertex counted first can block, as a
         # base vertex of a corona blocks its pendant
-        w, wcount = -1, n + 1
+        w, wcount, top = -1, n + 1, n + 1
         packed, used, npacked, nused, lost = 0, 0, 0, 0, False
         m = undom
         while m:
@@ -210,16 +210,18 @@ def _solve(
             x = b.bit_length() - 1
             cand = closed[x] & allowed
             cnt = cand.bit_count()
-            if cnt < wcount:
-                w, wcount = x, cnt
-            if cnt <= 2:
-                if cand & used:
-                    lost = True
-                if not cand & nused:
-                    npacked += 1
-                    if npacked >= room:
-                        return
-                    nused |= cand
+            if cnt < top:  # fewest so far, or narrow: top is max(wcount, 3)
+                if cnt < wcount:
+                    w, wcount = x, cnt
+                    top = cnt if cnt > 3 else 3
+                if cnt <= 2:
+                    if cand & used:
+                        lost = True
+                    if not cand & nused:
+                        npacked += 1
+                        if npacked >= room:
+                            return
+                        nused |= cand
             if not cand & used:
                 packed += 1
                 if packed >= room:
