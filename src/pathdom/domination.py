@@ -11,13 +11,13 @@ algorithms for dominating set", Discrete Appl. Math. 159, 2011):
 undominated vertices whose candidate dominators are pairwise disjoint
 each need their own new vertex; they are counted in the same pass that
 picks the branch vertex, which stops as soon as the count rules the node
-out.  That pass builds two such packings and cuts on either: one in label
-order, and one that takes first the vertices with at most two candidate
-dominators, such as pendant vertices, and then the rest in label order
-in one more pass.  A wider vertex counted first would block them: in a
-corona the label-order packing counts the base vertices and misses the
-count that closes the node.  The extra pass runs only where the two
-packings can differ, when the label-order one left out a narrow vertex.
+out.  In a pendant-rich graph, where pendant and isolated vertices make
+up a quarter of the vertices, a node that has a narrow vertex (at most
+two candidate dominators) also counts a second packing, which takes the
+narrow vertices first and then the rest in label order.  A wider vertex
+counted first blocks them: in a corona the label-order packing counts
+each base vertex before its pendant and misses the count that closes the
+node.  Elsewhere the second pass costs more per node than it saves.
 A node with room for one more vertex only (the incumbent is two above
 its size) is settled without branching: the vertices that complete the
 set are the common candidate dominators of its undominated vertices, and
@@ -146,10 +146,15 @@ def _solve(
     allowed = full & ~include
     undom = full & ~dominated
 
+    # the second packing bound below pays for its pass only where pendant
+    # and isolated vertices make up a quarter of the graph
+    sizes = list(map(int.bit_count, closed))
+    pendant_rich = 4 * (sizes.count(1) + sizes.count(2)) >= n
+
     # greedy incumbent: repeatedly take the allowed vertex covering the most;
     # the first to reach the cap cannot be strictly beaten by a later one
     mask, avail = include, allowed
-    widest = max(map(int.bit_count, closed), default=0)
+    widest = max(sizes, default=0)
     while undom:
         pick, pickcov = -1, 0
         cap = min(undom.bit_count(), widest)
@@ -198,58 +203,50 @@ def _solve(
         # branch vertex: undominated with fewest candidate dominators.  The
         # same pass counts undominated vertices whose candidate sets are
         # disjoint from those counted before (a packing bound): each needs
-        # its own new vertex.  It builds two packings: one in label order,
-        # and one that starts with the narrow vertices (at most two
-        # candidates), which a wider vertex counted first can block, as a
-        # base vertex of a corona blocks its pendant
-        w, wcount, top = -1, n + 1, n + 1
-        packed, used, npacked, nused, lost = 0, 0, 0, 0, False
+        # its own new vertex
+        w, wcount = -1, n + 1
+        packed, used = 0, 0
         m = undom
         while m:
             b = m & -m
             x = b.bit_length() - 1
             cand = closed[x] & allowed
-            cnt = cand.bit_count()
-            if cnt < top:  # fewest so far, or narrow: top is max(wcount, 3)
-                if cnt < wcount:
-                    w, wcount = x, cnt
-                    top = cnt if cnt > 3 else 3
-                if cnt <= 2:
-                    if cand & used:
-                        lost = True
-                    if not cand & nused:
-                        npacked += 1
-                        if npacked >= room:
-                            return
-                        nused |= cand
             if not cand & used:
                 packed += 1
                 if packed >= room:
                     return
                 used |= cand
+            cnt = cand.bit_count()
+            if cnt < wcount:
+                w, wcount = x, cnt
             m ^= b
-        if lost:
-            # extend the narrow packing by the rest, in label order.  Unless
-            # the label-order packing left out a narrow vertex, the two
-            # packings are the same.  Only vertices outside the closed
-            # neighbourhoods of its candidates can join it, so too few of
-            # them cannot fill the room (a vertex without candidates may
-            # count twice, but then the node has no child anyway)
-            free = undom
-            m = nused
-            while m:
-                b = m & -m
-                free &= ~closed[b.bit_length() - 1]
-                m ^= b
-            m = free if npacked + free.bit_count() >= room else 0
+        if pendant_rich and wcount <= 2:
+            # a second packing that takes the narrow vertices (at most two
+            # candidates) first, then the rest in label order: a wider
+            # vertex counted first blocks them, as a base vertex of a corona
+            # blocks its pendant.  With no narrow vertex it is the first one
+            packed, used, wide = 0, 0, 0
+            m = undom
             while m:
                 b = m & -m
                 cand = closed[b.bit_length() - 1] & allowed
-                if not cand & nused:
-                    npacked += 1
-                    if npacked >= room:
+                if cand.bit_count() > 2:
+                    wide |= b
+                elif not cand & used:
+                    packed += 1
+                    if packed >= room:
                         return
-                    nused |= cand
+                    used |= cand
+                m ^= b
+            m = wide
+            while m:
+                b = m & -m
+                cand = closed[b.bit_length() - 1] & allowed
+                if not cand & used:
+                    packed += 1
+                    if packed >= room:
+                        return
+                    used |= cand
                 m ^= b
         rem = allowed
         m = closed[w] & allowed
