@@ -147,14 +147,16 @@ def _solve(
     undom = full & ~dominated
 
     # the second packing bound below pays for its pass only where pendant
-    # and isolated vertices make up a quarter of the graph
-    sizes = list(map(int.bit_count, closed))
-    pendant_rich = 4 * (sizes.count(1) + sizes.count(2)) >= n
+    # and isolated vertices (closed rows of at most two bits) make up a
+    # quarter of the graph.  Every solve pays for the test, so it shares one
+    # sort of the row sizes with the greedy cap, which cost about as much alone
+    sizes = sorted(map(int.bit_count, closed))
+    pendant_rich = n > 0 and sizes[(n - 1) // 4] <= 2
 
     # greedy incumbent: repeatedly take the allowed vertex covering the most;
     # the first to reach the cap cannot be strictly beaten by a later one
     mask, avail = include, allowed
-    widest = max(sizes, default=0)
+    widest = sizes[-1] if sizes else 0
     while undom:
         pick, pickcov = -1, 0
         cap = min(undom.bit_count(), widest)
@@ -221,10 +223,11 @@ def _solve(
                 w, wcount = x, cnt
             m ^= b
         if pendant_rich and wcount <= 2:
-            # a second packing that takes the narrow vertices (at most two
+            # a second packing takes the narrow vertices (at most two
             # candidates) first, then the rest in label order: a wider
             # vertex counted first blocks them, as a base vertex of a corona
-            # blocks its pendant.  With no narrow vertex it is the first one
+            # blocks its pendant.  Without a narrow vertex the two packings
+            # are the same
             packed, used, wide = 0, 0, 0
             m = undom
             while m:
