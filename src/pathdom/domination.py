@@ -47,14 +47,12 @@ vertices, the allowed vertices that still dominate one of them, and its
 room, so each such state is searched once: branches that dominate the
 same vertices meet again, and a graph of k disjoint pendant pairs takes
 about 2k nodes for its 2^k minimum sets.  Sharing a set is symmetric, so
-each row is then completed from the others.  The search stops after
-``_NODES_PER_SOLVE`` nodes for every include-one and edge solve it
-replaces, and the answers then come from those solves, one per vertex or
-pair asked about; both routes give the same answers.  It is a function
-of its own rather than a mode of ``_solve``: it differs at the target,
-the returned union, the state memo and the budget, and each would be a
-branch in the kernel.  ``shares_minimum_set``, ``all_minimum_sets_cliques``,
-``good`` and ``strong_equality`` all read it through ``_shares``.
+each row is then completed from the others.  The state memo lives as long
+as one search and is freed when it returns.  It is a function of its own
+rather than a mode of ``_solve``: it differs at the target, the returned
+union and the state memo, and each would be a branch in the kernel.
+``shares_minimum_set``, ``all_minimum_sets_cliques``, ``good`` and
+``strong_equality`` all read its rows.
 
 Every kernel answer is memoised once, in ``_search``; every relation in
 ``_relation``; and every report of ``classify_vertices`` in ``_classify``.
@@ -275,36 +273,22 @@ def _search(g: Graph, include: int, drop: int, independent: bool) -> tuple[int, 
     return _solve(g.closed, g.n, include, drop, g.nbr if independent else None)
 
 
-# the relation search gives up past this many nodes for every include-one
-# and edge solve it replaces; on the named families those solves take from
-# 1 to about 700 nodes each
-_NODES_PER_SOLVE = 64
-
-
-class _GiveUp(Exception):
-    """The relation search went past its node budget."""
-
-
 @lru_cache(maxsize=CACHE_SIZE)
-def _relation(g: Graph) -> tuple[int, ...] | None:
+def _relation(g: Graph) -> tuple[int, ...]:
     """Row x is the union of the minimum dominating sets that contain x
-    (0 when x is in none); None when the search went past its budget."""
+    (0 when x is in none)."""
     closed, n = g.closed, g.n
     gamma = _search(g, 0, 0, False)[0]
     full = (1 << n) - 1
     rel = [0] * n
     last = 0  # every vertex that completes some minimum set
     seen: dict[tuple[int, int, int], int] = {}
-    budget = _NODES_PER_SOLVE * (n + g.edge_count)
 
     def rec(dominated: int, allowed: int, room: int) -> int:
         # returns the union of the vertices added below in the sets found;
         # the caller charges it to the vertex it added.  A node short of
         # gamma never dominates: nothing smaller than gamma does
-        nonlocal last, budget
-        budget -= 1
-        if budget < 0:
-            raise _GiveUp
+        nonlocal last
         undom = full & ~dominated
         if room == 1:
             # the last vertex is any common candidate dominator of undom
@@ -365,10 +349,7 @@ def _relation(g: Graph) -> tuple[int, ...] | None:
         return found
 
     if n:
-        try:
-            rec(0, full, gamma)
-        except _GiveUp:
-            return None
+        rec(0, full, gamma)
     # each row so far holds only what was added below its vertex: the rest
     # is filled by symmetry, and a last vertex's own bit from ``last``
     for x in bits(last):
@@ -378,14 +359,6 @@ def _relation(g: Graph) -> tuple[int, ...] | None:
         for y in bits(rel[x]):
             rel[y] |= xbit
     return tuple(rel)
-
-
-def _shares(g: Graph, rel: tuple[int, ...] | None, u: int, v: int) -> bool:
-    """Whether some minimum dominating set holds u and v: read from
-    ``rel = _relation(g)``, or one include-pair solve when that is None."""
-    if rel is None:
-        return _search(g, 1 << u | 1 << v, 0, False)[0] == _search(g, 0, 0, False)[0]
-    return bool(rel[u] >> v & 1)
 
 
 def domination_number(g: Graph) -> int:
@@ -413,10 +386,9 @@ def constrained_domination_number(
 def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
     """True iff some minimum dominating set contains both u and v (with
     u == v: iff u lies in some minimum dominating set).  Every pair of one
-    graph is answered from a single search over its minimum sets, or, when
-    that search passes its node budget, from one include-pair solve."""
+    graph is answered from a single search over its minimum sets."""
     _checked_mask(g, (u, v))
-    return _shares(g, _relation(g), u, v)
+    return bool(_relation(g)[u] >> v & 1)
 
 
 def independent_domination_number(g: Graph) -> int:
@@ -447,8 +419,13 @@ def classify_vertices(g: Graph) -> DominationReport:
 def _classify(g: Graph) -> DominationReport:
     gamma, witness_mask = _search(g, 0, 0, False)
     rel = _relation(g)
-    good = tuple(_shares(g, rel, v, v) for v in range(g.n))
-    critical = tuple(_search(g, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n))
+    good = tuple(bool(rel[v] >> v & 1) for v in range(g.n))
+    # a critical vertex v is good: a dominating set of g - v of size gamma - 1,
+    # plus v, is a minimum dominating set of g that contains v.  So a bad
+    # vertex needs no delete-one solve
+    critical = tuple(
+        good[v] and _search(g, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n)
+    )
     return DominationReport(
         gamma=gamma,
         witness=set_of(witness_mask),
@@ -457,15 +434,14 @@ def _classify(g: Graph) -> DominationReport:
         critical=critical,
         critical_vertices=frozenset(v for v in range(g.n) if critical[v]),
         independent_domination_number=independent_domination_number(g),
-        strong_equality=not any(_shares(g, rel, u, v) for u, v in g.edges()),
+        strong_equality=not any(row & nbr for row, nbr in zip(rel, g.nbr)),
     )
 
 
 def all_minimum_sets_cliques(g: Graph) -> bool:
     """True iff every minimum dominating set induces a complete subgraph:
     no nonadjacent pair shares one."""
-    rel = _relation(g)
-    return not any(_shares(g, rel, u, v) for u, v in g.non_edges())
+    return not any(row & ~closed for row, closed in zip(_relation(g), g.closed))
 
 
 def clear_caches() -> None:

@@ -64,9 +64,16 @@ def _k1_rises(g, u, v, rep) -> bool:
     return d_uv >= _gamma_without(g, (v,)) and d_uv >= _gamma_without(g, (u,))
 
 
-def _drops_two(g, u, v, gamma) -> bool:
-    """Deleting the pair lowers gamma by two."""
-    return _gamma_without(g, (u, v)) == gamma - 2
+def _drops_two(g, u, v, rep) -> bool:
+    """Deleting the pair lowers gamma by two.
+
+    Only a pair of critical vertices can.  A dominating set of h - x plus x
+    dominates h, so deleting a vertex lowers gamma by at most one, and
+    gamma(g-{u,v}) >= gamma(g-u) - 1 >= gamma - 2.  Equality at the left end
+    thus forces gamma(g-u) = gamma - 1, and likewise gamma(g-v).  Other
+    pairs need no pair-deletion solve."""
+    return (rep.critical[u] and rep.critical[v]
+            and _gamma_without(g, (u, v)) == rep.gamma - 2)
 
 
 def _deleted_pairing(g, u, v, rep) -> bool:
@@ -122,11 +129,10 @@ def predict_pair(g: Graph, u: int, v: int) -> Prediction:
         k1 = gamma + 1 if rep.bad[u] and rep.bad[v] else gamma
         values = {1: k1, 2: k2, 3: gamma + 1}
     else:
-        drops_two = _drops_two(g, u, v, gamma)
-        # "k=1 rises" needs a bad pair, and a bad pair never drops two: a
-        # critical vertex is good, so a bad vertex x has gamma(g-x) = gamma,
-        # and deleting one more vertex lowers that by at most one.  The two
-        # tests never both hold, so their order is free.
+        drops_two = _drops_two(g, u, v, rep)
+        # "k=1 rises" needs a bad pair, and a bad pair never drops two: only
+        # critical vertices do, and a critical vertex is good.  The two tests
+        # never both hold, so their order is free.
         if drops_two:
             k1 = gamma - 1
         else:
@@ -222,7 +228,7 @@ def _characterize_min_nonadjacent(g, rep, pairs):
 def _characterize_max_nonadjacent(g, gamma, rep, pairs):
     if gamma == 1:
         return 1, "max-nonadjacent=1:single-vertex-dominates"
-    if any(_drops_two(g, u, v, gamma) for u, v in pairs):
+    if any(_drops_two(g, u, v, rep) for u, v in pairs):
         return 5, "max-nonadjacent=5:some-pair-deletion-drops-two"
     if all_minimum_sets_cliques(g):
         return 2, "max-nonadjacent=2:all-minimum-sets-cliques"

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, combinations_with_replacement, product
 
 import networkx as nx
@@ -150,6 +151,16 @@ class TestClassify:
         assert rep.good == (True, False, False, False)
         assert rep.bad == (False, True, True, True)
         assert rep.critical_vertices == frozenset()
+
+    def test_bad_vertices_take_no_deletion_solve(self):
+        # a critical vertex is good, so only the good center of star(5) is
+        # solved with itself deleted; the other two misses are gamma and the
+        # independent domination number
+        clear_caches()
+        rep = classify_vertices(star(5))
+        assert rep.good == (True,) + (False,) * 5
+        assert _search.cache_info().misses == 3
+        clear_caches()
 
     def test_rook3_all_critical(self):
         rep = classify_vertices(rook(3))
@@ -345,13 +356,10 @@ class TestKernelMatchesReference:
                 assert _search(h, 0, 0, False) == reference_solve(h.closed, h.n)
 
 
-@pytest.fixture(params=["search", "pair solves"])
-def route(request, monkeypatch):
-    """Both routes to shared-set answers: the relation search, and the
-    include-pair solves it falls back to past its budget (here at once)."""
+@pytest.fixture(params=["search"])
+def route(request):
+    """The route to shared-set answers, the relation search, on empty caches."""
     clear_caches()
-    if request.param == "pair solves":
-        monkeypatch.setattr(domination, "_NODES_PER_SOLVE", 0)
     yield request.param
     clear_caches()
 
@@ -368,16 +376,13 @@ class TestRelation:
     """One search per graph answers every "pair shares a minimum dominating
     set" query, ``good`` and ``strong_equality``: it agrees with the
     enumerated minimum sets where those are in reach, and with one
-    include-pair solve per pair beyond them.  Past its node budget the
-    answers come from those solves instead, and they are the same."""
+    include-pair solve per pair beyond them."""
 
     def test_atlas_matches_enumerated_sets(self, route):
         for h in nx.graph_atlas_g():  # every graph on at most 7 vertices
             g = Graph(h.number_of_nodes(), list(h.edges()))
             sets = _brute_minimum_sets(g)
             rep = classify_vertices(g)
-            # the empty graph's search makes no node
-            assert (_relation(g) is None) == (route == "pair solves" and g.n > 0)
             assert rep.good == tuple(any(x in s for s in sets) for x in range(g.n))
             assert rep.strong_equality == all(g.is_independent_set(s) for s in sets)
             assert all_minimum_sets_cliques(g) == all(is_clique(g, s) for s in sets)
@@ -385,10 +390,11 @@ class TestRelation:
                 assert shares_minimum_set(g, u, v) == any(u in s and v in s for s in sets)
             clear_caches()
 
-    # beyond brute force; rook(5) has 2 * 5^5 - 5! = 6,130 minimum sets
+    # beyond brute force; rook(5) has 2 * 5^5 - 5! = 6,130 minimum sets, and
+    # rook(7)'s relation search makes 82,608 nodes
     @pytest.mark.parametrize("spec", [
         "rook(4)", "rook(5)", "corona(path(8))", "generalized_petersen(10,3)",
-        "complete_bipartite(6,8)"])
+        "complete_bipartite(6,8)", "rook(7)"])
     def test_matches_include_pair_solves(self, spec, route):
         g = generate_family(parse_family_spec(spec))
         gamma = domination_number(g)
@@ -397,7 +403,6 @@ class TestRelation:
             return constrained_domination_number(g, include=(u, v)) == gamma
 
         rep = classify_vertices(g)
-        assert (_relation(g) is None) == (route == "pair solves")
         assert rep.good == tuple(shares(x, x) for x in range(g.n))
         assert rep.strong_equality == (not any(shares(u, v) for u, v in g.edges()))
         assert all_minimum_sets_cliques(g) == (not any(shares(u, v) for u, v in g.non_edges()))
@@ -405,24 +410,39 @@ class TestRelation:
             assert shares_minimum_set(g, u, v) == shares_minimum_set(g, v, u) == shares(u, v)
 
     # 2^20 and 3^12 minimum sets, but branches that dominate the same
-    # vertices meet again: two nodes per replaced solve are enough
+    # vertices meet again: 39 and 94 nodes, under two per vertex and edge
     @pytest.mark.parametrize("g, k", [(corona(edgeless(20)), 20), (triangle_chain(12), 12)])
-    def test_many_minimum_sets_few_states(self, g, k, monkeypatch):
+    def test_many_minimum_sets_few_states(self, g, k):
         clear_caches()
-        monkeypatch.setattr(domination, "_NODES_PER_SOLVE", 2)
-        rel = _relation(g)
-        assert rel is not None
+        rec = next(c for c in _relation.__wrapped__.__code__.co_consts
+                   if getattr(c, "co_name", None) == "rec")
+        nodes, limit = 0, 2 * (g.n + g.edge_count)
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code is rec:
+                nodes += 1
+                if nodes > limit:
+                    raise RuntimeError(f"more than {limit} relation search nodes")
+
+        sys.setprofile(count)
+        try:
+            rel = _relation(g)
+        finally:
+            sys.setprofile(None)
         # one vertex per pendant pair or triangle, chosen freely
         for x, y in product(range(g.n), repeat=2):
             assert (rel[x] >> y & 1) == (x == y or x % k != y % k)
         clear_caches()
 
-    def test_budget_sides(self):
-        # rook(6)'s 92,592 minimum sets take the search; rook(7) passes
-        # its budget and is answered by pair solves
+    def test_rook7_is_answered_by_the_search(self):
+        # any two vertices of rook(7) share a minimum set; the search finds
+        # that, and no query but gamma reaches the kernel
         clear_caches()
-        assert _relation(rook(6)) is not None
-        assert _relation(rook(7)) is None
+        g = rook(7)
+        assert all(shares_minimum_set(g, u, v) for u, v in product(range(g.n), repeat=2))
+        assert _relation(g) == ((1 << g.n) - 1,) * g.n
+        assert _search.cache_info().misses == 1
         clear_caches()
 
     def test_out_of_range_pair_rejected(self):
