@@ -15,6 +15,7 @@ from .domination import (
     clear_caches,
     constrained_domination_number,
     domination_number,
+    domination_number_at_most,
     independent_domination_number,
     is_dominating,
     minimum_dominating_set,

@@ -33,6 +33,17 @@ the same witnesses.  The same search answers
 constrained queries (forced vertices), vertex deletions without
 relabeling, and independent domination.
 
+A decision query asks only whether a dominating set of at most t vertices
+exists, and it returns no witness.  The kernel takes t as a target.  A
+greedy set that small answers yes at once; otherwise the incumbent is
+seeded at t + 1, so the first set recorded answers yes, and the search
+stops there.  Only the two places that record a set change, so a node is
+expanded as in an exact search, and a decision never searches more nodes
+than the exact query would.  Only exact queries record the improving
+sequence above, so only they carry a witness, and theirs are unchanged.
+``domination_number_at_most`` asks the decision; the path addition scan
+uses it, since it already knows the domination number it compares with.
+
 Which vertices lie in some minimum dominating set, and which pairs share
 one, come from a second search, ``_relation``: for every vertex x, the
 union of the minimum dominating sets that contain x.  It searches the
@@ -54,10 +65,13 @@ union and the state memo, and each would be a branch in the kernel.
 ``shares_minimum_set``, ``all_minimum_sets_cliques``, ``good`` and
 ``strong_equality`` all read its rows.
 
-Every kernel answer is memoised once, in ``_search``; every relation in
-``_relation``; and every report of ``classify_vertices`` in ``_classify``.
-The three caches are private, so a tracer that rebinds the public
-functions leaves them to ``clear_caches``, and ``CACHE_SIZE`` bounds each.
+Every kernel answer, exact or decision, is memoised once, in ``_search``;
+every relation in ``_relation``; and every report of ``classify_vertices``
+in ``_classify``.  An exact hit is one dict lookup.  A decision first reads
+the exact answer for its graph, if one is held, then the bounds that
+earlier decisions proved, and searches only when neither settles it.  The
+three caches are private, so a tracer that rebinds the public functions
+leaves them to ``clear_caches``, and ``CACHE_SIZE`` bounds each.
 """
 
 from functools import lru_cache
@@ -69,6 +83,7 @@ __all__ = [
     "DominationReport",
     "is_dominating",
     "domination_number",
+    "domination_number_at_most",
     "minimum_dominating_set",
     "constrained_domination_number",
     "shares_minimum_set",
@@ -116,12 +131,17 @@ def _checked_mask(g: Graph, vertices: Iterable[int]) -> int:
     return m
 
 
+class _Found(Exception):
+    """A decision search recorded a set of at most its target vertices."""
+
+
 def _solve(
     closed: tuple[int, ...],
     n: int,
     include: int = 0,
     drop: int = 0,
     conflict: tuple[int, ...] | None = None,
+    target: int | None = None,
 ) -> tuple[int, int]:
     """Minimum dominating set of the graph minus ``drop`` that contains
     ``include``, as (size, mask).
@@ -131,6 +151,10 @@ def _solve(
     ``conflict[c]`` (``conflict=nbr`` asks for an independent set).  Such a
     set always exists: an undominated vertex is its own candidate, and a
     conflict rules it out only once a neighbour is chosen, dominating it.
+
+    With a ``target`` the answer is a decision: the first set found of at
+    most ``target`` vertices, or the greedy set when there is none, so the
+    size is at most ``target`` exactly when the minimum is.
     """
     # this is the hot path: scans over every vertex enumerate the rows, and
     # loops over a subset's bits are inlined (b = m & -m; ...; m ^= b)
@@ -170,12 +194,18 @@ def _solve(
         if conflict:
             avail &= ~conflict[pick]
     best = [mask.bit_count(), mask]
+    if target is not None:
+        if best[0] <= target:
+            return best[0], mask
+        best[0] = target + 1  # the first set recorded is at most target
 
     def rec(size: int, mask: int, dominated: int, allowed: int) -> None:
         undom = full & ~dominated
         if not undom:
             if size < best[0]:
                 best[0], best[1] = size, mask
+                if target is not None:
+                    raise _Found
             return
         room = best[0] - size
         if room <= 1:  # no vertex can be added and still improve
@@ -191,6 +221,8 @@ def _solve(
                 m ^= b
             if cand:
                 best[0], best[1] = size + 1, mask | (cand & -cand)
+                if target is not None:
+                    raise _Found
             return
         # coverage bound: at most room - 1 more vertices can be added and
         # still improve, so one of them must cover |undom| / (room - 1)
@@ -259,18 +291,48 @@ def _solve(
                 rem & ~conflict[c] if conflict else rem)
             m ^= cbit
 
-    rec(include.bit_count(), include, dominated, allowed)
-    return best[0], best[1]
+    try:
+        rec(include.bit_count(), include, dominated, allowed)
+    except _Found:
+        pass
+    # a decision that found no set keeps the greedy one, of more than target
+    return best[1].bit_count(), best[1]
 
 
-# one graph's work makes at most 2,220 distinct queries, so nothing is evicted
+# one graph's work makes a few thousand distinct queries at most (2,296 for
+# ``profile`` on cycle(45)), so nothing is evicted
 CACHE_SIZE = 1 << 13
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _search(g: Graph, include: int, drop: int, independent: bool) -> tuple[int, int]:
-    """Memoised kernel answer; pass all four arguments positionally (one key)."""
-    return _solve(g.closed, g.n, include, drop, g.nbr if independent else None)
+class _Memo(dict):
+    """Every kernel answer, at most ``CACHE_SIZE`` of them; the oldest go first.
+
+    ``_search[g, include, drop, independent]`` is the exact (size, mask),
+    solved on a miss.  Under the key ``g`` alone a decision keeps the
+    bounds (lo, hi) it has proven on the domination number of g.
+    """
+
+    def __missing__(self, key: tuple[Graph, int, int, bool]) -> tuple[int, int]:
+        g, include, drop, independent = key
+        answer = _solve(g.closed, g.n, include, drop, g.nbr if independent else None)
+        self.add(key, answer)
+        return answer
+
+    def __call__(self, g: Graph, include: int, drop: int, independent: bool) -> tuple[int, int]:
+        """The exact answer as a call, for tests that compare it with others;
+        the program subscripts, one lookup with no Python frame."""
+        return self[g, include, drop, independent]
+
+    def add(self, key, value) -> None:
+        if len(self) >= CACHE_SIZE:
+            # the older half goes at once: removing the oldest one entry at
+            # a time rescans the removed slots at the front of the table
+            for old in list(self)[:CACHE_SIZE // 2]:
+                del self[old]
+        self[key] = value
+
+
+_search = _Memo()
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -278,7 +340,7 @@ def _relation(g: Graph) -> tuple[int, ...]:
     """Row x is the union of the minimum dominating sets that contain x
     (0 when x is in none)."""
     closed, n = g.closed, g.n
-    gamma = _search(g, 0, 0, False)[0]
+    gamma = _search[g, 0, 0, False][0]
     full = (1 << n) - 1
     rel = [0] * n
     last = 0  # every vertex that completes some minimum set
@@ -362,12 +424,32 @@ def _relation(g: Graph) -> tuple[int, ...]:
 
 
 def domination_number(g: Graph) -> int:
-    return _search(g, 0, 0, False)[0]
+    return _search[g, 0, 0, False][0]
+
+
+def domination_number_at_most(g: Graph, t: int) -> bool:
+    """True iff g has a dominating set of at most t vertices.
+
+    An exact answer already held decides it; otherwise the bounds that
+    earlier decisions proved on g may, and a search that stops at the
+    first set of at most t vertices does the rest.
+    """
+    exact = _search.get((g, 0, 0, False))
+    if exact is not None:
+        return exact[0] <= t
+    lo, hi = _search.get(g, (0, g.n))
+    if hi <= t:
+        return True
+    if lo > t:
+        return False
+    size = _solve(g.closed, g.n, target=t)[0]
+    _search.add(g, (lo, size) if size <= t else (t + 1, hi))
+    return size <= t
 
 
 def minimum_dominating_set(g: Graph) -> frozenset[int]:
     """A deterministic witness minimum dominating set."""
-    return set_of(_search(g, 0, 0, False)[1])
+    return set_of(_search[g, 0, 0, False][1])
 
 
 def constrained_domination_number(
@@ -380,7 +462,7 @@ def constrained_domination_number(
     drop = _checked_mask(g, delete)
     if inc & drop:
         raise ValueError("include and delete overlap")
-    return _search(g, inc, drop, False)[0]
+    return _search[g, inc, drop, False][0]
 
 
 def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
@@ -393,7 +475,7 @@ def shares_minimum_set(g: Graph, u: int, v: int) -> bool:
 
 def independent_domination_number(g: Graph) -> int:
     """Minimum size of an independent dominating set (always exists)."""
-    return _search(g, 0, 0, True)[0]
+    return _search[g, 0, 0, True][0]
 
 
 def private_neighbors(g: Graph, x: int, group: Iterable[int]) -> frozenset[int]:
@@ -417,14 +499,14 @@ def classify_vertices(g: Graph) -> DominationReport:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _classify(g: Graph) -> DominationReport:
-    gamma, witness_mask = _search(g, 0, 0, False)
+    gamma, witness_mask = _search[g, 0, 0, False]
     rel = _relation(g)
     good = tuple(bool(rel[v] >> v & 1) for v in range(g.n))
     # a critical vertex v is good: a dominating set of g - v of size gamma - 1,
     # plus v, is a minimum dominating set of g that contains v.  So a bad
     # vertex needs no delete-one solve
     critical = tuple(
-        good[v] and _search(g, 0, 1 << v, False)[0] == gamma - 1 for v in range(g.n)
+        good[v] and _search[g, 0, 1 << v, False][0] == gamma - 1 for v in range(g.n)
     )
     return DominationReport(
         gamma=gamma,
@@ -446,6 +528,6 @@ def all_minimum_sets_cliques(g: Graph) -> bool:
 
 def clear_caches() -> None:
     """Drop all per-graph memoization; corpus runs call it once per graph."""
-    _search.cache_clear()
+    _search.clear()
     _relation.cache_clear()
     _classify.cache_clear()

@@ -5,14 +5,18 @@ and v (k=0 is plain edge addition).  The path addition number of a pair
 is the least k >= 1 whose insertion raises the domination number; theory
 bounds it by 3 for adjacent pairs and 5 for nonadjacent ones, so the
 ascending scan is capped one above that and a cap hit is treated as a
-solver bug, never a valid outcome.
+solver bug, never a valid outcome.  The scan knows gamma(G), so for each
+k it asks a decision, whether G_{u,v,k} still has a dominating set of at
+most gamma(G) vertices, and that search stops at the first such set; an
+exact gamma(G_{u,v,k}) already memoised answers it without a search.
+``domination_after_path`` stays an exact query.
 """
 
 import math
 from itertools import combinations
 from typing import NamedTuple
 
-from .domination import domination_number
+from .domination import domination_number, domination_number_at_most
 from .graphs import Graph
 
 __all__ = [
@@ -79,7 +83,7 @@ def path_addition_number(g: Graph, u: int, v: int) -> int:
         raise ValueError("path addition numbers need at least 2 vertices")
     gamma = domination_number(g)
     for k in range(1, _SCAN_CAP + 1):
-        if domination_after_path(g, u, v, k) > gamma:
+        if not domination_number_at_most(add_path(g, u, v, k), gamma):
             return k
     raise SolverInconsistencyError(
         f"domination number never rose for pair ({u}, {v}) up to k={_SCAN_CAP}"

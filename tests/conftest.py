@@ -4,7 +4,9 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 import hypothesis.strategies as st
+import pytest
 
+from pathdom import domination
 from pathdom.graphs import Graph, bits, from_edge_mask, mask_of
 
 
@@ -181,3 +183,20 @@ def reference_solve(
 
     rec(include.bit_count(), include, dominated, allowed)
     return best[0], best[1]
+
+
+@pytest.fixture
+def kernel_solves(monkeypatch):
+    """One entry per search kernel call made in the test, which starts and
+    ends on empty caches."""
+    calls = []
+    solve = domination._solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(domination, "_solve", counted)
+    domination.clear_caches()
+    yield calls
+    domination.clear_caches()

@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import networkx as nx
 import pytest
@@ -19,6 +19,7 @@ from pathdom.domination import (
     clear_caches,
     constrained_domination_number,
     domination_number,
+    domination_number_at_most,
     independent_domination_number,
     is_dominating,
     minimum_dominating_set,
@@ -39,7 +40,7 @@ from pathdom.families import (
 )
 from pathdom.families import generate_family, parse_family_spec
 from pathdom.graphs import Graph, bits, enumerate_labeled_graphs, mask_of, set_of
-from pathdom.path_addition import add_path
+from pathdom.path_addition import add_path, domination_after_path, path_addition_number
 from pathdom.verify import _brute_minimum_sets, random_graph
 
 from .conftest import (
@@ -152,15 +153,13 @@ class TestClassify:
         assert rep.bad == (False, True, True, True)
         assert rep.critical_vertices == frozenset()
 
-    def test_bad_vertices_take_no_deletion_solve(self):
+    def test_bad_vertices_take_no_deletion_solve(self, kernel_solves):
         # a critical vertex is good, so only the good center of star(5) is
-        # solved with itself deleted; the other two misses are gamma and the
+        # solved with itself deleted; the other two solves are gamma and the
         # independent domination number
-        clear_caches()
         rep = classify_vertices(star(5))
         assert rep.good == (True,) + (False,) * 5
-        assert _search.cache_info().misses == 3
-        clear_caches()
+        assert len(kernel_solves) == 3
 
     def test_rook3_all_critical(self):
         rep = classify_vertices(rook(3))
@@ -356,6 +355,77 @@ class TestKernelMatchesReference:
                 assert _search(h, 0, 0, False) == reference_solve(h.closed, h.n)
 
 
+class TestDecisions:
+    """With a target t the kernel answers whether a dominating set of at
+    most t vertices exists, and stops at the first one it finds;
+    ``domination_number_at_most`` memoises the answer, and the path
+    addition scan asks it of every G_{u,v,k}."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(min_n=1, max_n=9), st.data())
+    def test_kernel_decision_matches_reference(self, g, data):
+        drop = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3).map(mask_of))
+        include = data.draw(st.lists(
+            st.integers(0, g.n - 1).filter(lambda v: not drop >> v & 1), max_size=2
+        ).map(mask_of))
+        keep = (1 << g.n) - 1 & ~drop
+        for conflict in (None, g.nbr):
+            gamma = reference_solve(g.closed, g.n, include, drop, conflict)[0]
+            for t in range(gamma - 2, gamma + 2):
+                size, mask = _solve(g.closed, g.n, include, drop, conflict, target=t)
+                assert (size <= t) == (gamma <= t)
+                # whatever the answer, the set returned is a valid one
+                assert mask & include == include and not mask & drop
+                assert mask.bit_count() == size
+                dominated = 0
+                for v in bits(mask):
+                    dominated |= g.closed[v]
+                assert dominated & keep == keep
+
+    def test_atlas_decisions(self):
+        # on 50 of these graphs the greedy set is not minimum, so t = gamma
+        # is answered by the search and not by the greedy set alone
+        for h in nx.graph_atlas_g():
+            g = Graph(h.number_of_nodes(), list(h.edges()))
+            gamma = reference_solve(g.closed, g.n)[0]
+            clear_caches()
+            for t in range(gamma - 2, gamma + 2):
+                assert domination_number_at_most(g, t) == (gamma <= t)
+        clear_caches()
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(min_n=0, max_n=8), st.data())
+    def test_memoised_bounds_in_any_order(self, g, data):
+        # each decision leaves bounds that the later ones may read
+        gamma = reference_solve(g.closed, g.n)[0]
+        clear_caches()
+        for t in data.draw(st.permutations(range(gamma - 2, gamma + 2))):
+            assert domination_number_at_most(g, t) == (gamma <= t)
+        assert domination_number(g) == gamma
+        for t in range(gamma - 2, gamma + 2):
+            assert domination_number_at_most(g, t) == (gamma <= t)
+        clear_caches()
+
+    # the sources of TestKernelMatchesReference.test_every_path_addition
+    @pytest.mark.parametrize("source", [
+        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
+        "corona(path(4))", "corona(cycle(4))", "star(6)",
+        pytest.param((0.15, 10), id="sparse-10")])
+    def test_path_addition_number_matches_exact_scan(self, source):
+        if isinstance(source, str):
+            g = generate_family(parse_family_spec(source))
+        else:
+            p, seed = source if isinstance(source, tuple) else (0.3, source)
+            g = random_graph(10, p, random.Random(seed))
+        gamma = domination_number(g)
+        for u, v in combinations(range(g.n), 2):
+            clear_caches()
+            scan = next(k for k in range(1, 7) if domination_after_path(g, u, v, k) > gamma)
+            clear_caches()
+            assert path_addition_number(g, u, v) == scan
+        clear_caches()
+
+
 @pytest.fixture(params=["search"])
 def route(request):
     """The route to shared-set answers, the relation search, on empty caches."""
@@ -435,14 +505,12 @@ class TestRelation:
             assert (rel[x] >> y & 1) == (x == y or x % k != y % k)
         clear_caches()
 
-    def test_rook7_is_answered_by_the_search(self):
+    def test_rook7_is_answered_by_the_search(self, kernel_solves):
         # any two vertices of rook(7) share a minimum set; the search finds
         # that, and no query but gamma reaches the kernel
-        clear_caches()
         g = rook(7)
         assert all(shares_minimum_set(g, u, v) for u, v in product(range(g.n), repeat=2))
-        assert _search.cache_info().misses == 1
-        clear_caches()
+        assert len(kernel_solves) == 1
 
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -450,36 +518,45 @@ class TestRelation:
 
 
 class TestMemo:
-    """Every kernel answer lives in one bounded memo, ``_search``; every
-    graph's minimum-set relation in ``_relation``; and ``classify_vertices``
-    reads the only other cache, ``_classify``."""
+    """Every kernel answer, exact or decision, lives in one bounded memo,
+    ``_search``; every graph's minimum-set relation in ``_relation``; and
+    ``classify_vertices`` reads the only other cache, ``_classify``."""
 
     def test_one_query_is_one_entry(self):
         clear_caches()
         g = cycle(7)
         assert domination_number(g) == constrained_domination_number(g) == 3
-        assert _search.cache_info().currsize == 1
+        assert len(_search) == 1
+        clear_caches()
+        assert domination_number_at_most(g, 3) and not domination_number_at_most(g, 2)
+        assert len(_search) == 1
 
     def test_overlap_is_rejected_before_the_lookup(self):
         clear_caches()
         with pytest.raises(ValueError, match="include and delete overlap"):
             constrained_domination_number(path(3), include=[0], delete=[0])
-        assert _search.cache_info().currsize == 0
+        assert len(_search) == 0
 
-    def test_library_loop_stays_bounded(self):
-        clear_caches()
+    def test_library_loop_stays_bounded(self, kernel_solves):
         for g in enumerate_labeled_graphs(6):  # 32,768 graphs, never cleared
             classify_vertices(g)
-        for cached in (_search, _relation, _classify):
+        assert len(kernel_solves) > CACHE_SIZE >= len(_search)
+        for cached in (_relation, _classify):
             info = cached.cache_info()
             assert info.maxsize == CACHE_SIZE
             assert info.misses > CACHE_SIZE >= info.currsize
-        clear_caches()
+
+    def test_decisions_stay_bounded(self, kernel_solves):
+        for g in islice(enumerate_labeled_graphs(6), 2 * CACHE_SIZE):
+            domination_number_at_most(g, 1)
+        assert len(kernel_solves) > CACHE_SIZE >= len(_search)
 
     def test_clear_caches_empties_every_cache(self):
         classify_vertices(cycle(6))
+        domination_number_at_most(cycle(9), 2)
         clear_caches()
-        for cached in (_search, _relation, _classify):
+        assert len(_search) == 0
+        for cached in (_relation, _classify):
             assert cached.cache_info().currsize == 0
 
     def test_clear_caches_survives_rebound_public_names(self, monkeypatch):
@@ -490,5 +567,6 @@ class TestMemo:
         domination.classify_vertices(cycle(6))
         assert _relation.cache_info().currsize
         domination.clear_caches()
-        for cached in (_search, _relation, _classify):
+        assert len(_search) == 0
+        for cached in (_relation, _classify):
             assert cached.cache_info().currsize == 0

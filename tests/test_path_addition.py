@@ -88,9 +88,7 @@ class TestPathAdditionNumber:
         # a solver that never reports a rise must trip the guard, not loop
         import pathdom.path_addition as pa_mod
 
-        monkeypatch.setattr(pa_mod, "domination_after_path",
-                            lambda g, u, v, k: 0)
-        monkeypatch.setattr(pa_mod, "domination_number", lambda g: 0)
+        monkeypatch.setattr(pa_mod, "domination_number_at_most", lambda g, t: True)
         with pytest.raises(pa_mod.SolverInconsistencyError):
             pa_mod.path_addition_number(path(3), 0, 2)
 
@@ -109,6 +107,19 @@ class TestPathAdditionNumber:
     def test_one_vertex_rejected(self):
         with pytest.raises(ValueError):
             path_addition_number(Graph(1), 0, 0)
+
+    @pytest.mark.parametrize("g", [cycle(12), rook(3), complete_bipartite(3, 4),
+                                   from_masks(6, [0b100, 0b1100, 0b11, 0b100010, 0, 0b1000])],
+                             ids=["cycle(12)", "rook(3)", "K3,4", "greedy-not-minimum"])
+    def test_scan_reads_held_exact_answers(self, g, kernel_solves):
+        # the oracle-equivalence suite solves gamma(G_{u,v,k}) for k up to
+        # pa before it scans: the scan must read those answers, not solve again
+        gamma = domination_number(g)
+        for u, v in combinations(range(g.n), 2):
+            pa = next(k for k in range(1, 7) if domination_after_path(g, u, v, k) > gamma)
+            held = len(kernel_solves)
+            assert path_addition_number(g, u, v) == pa
+            assert len(kernel_solves) == held
 
 
 class TestProfile:
