@@ -41,8 +41,15 @@ stops there.  Only the two places that record a set change, so a node is
 expanded as in an exact search, and a decision never searches more nodes
 than the exact query would.  Only exact queries record the improving
 sequence above, so only they carry a witness, and theirs are unchanged.
-``domination_number_at_most`` asks the decision; the path addition scan
-uses it, since it already knows the domination number it compares with.
+``domination_number_at_most`` asks the decision, with the same forced and
+deleted vertices as ``constrained_domination_number``.  Every caller that
+already knows the number it compares with asks it: the path addition scan,
+and every one- and two-vertex deletion question.  ``classify_vertices``
+asks whether gamma(G - v) <= gamma - 1, which is v being critical, since
+deleting one vertex lowers gamma by at most one; it asks only where the
+relation below leaves it open (v good, and every neighbour of v dominated
+by another vertex of a minimum set that contains v).  The oracle's rules
+and the verify checks ask theirs the same way.
 
 Which vertices lie in some minimum dominating set, and which pairs share
 one, come from a second search, ``_relation``: for every vertex x, the
@@ -68,10 +75,12 @@ union and the state memo, and each would be a branch in the kernel.
 Every kernel answer, exact or decision, is memoised once, in ``_search``;
 every relation in ``_relation``; and every report of ``classify_vertices``
 in ``_classify``.  An exact hit is one dict lookup.  A decision first reads
-the exact answer for its graph, if one is held, then the bounds that
-earlier decisions proved, and searches only when neither settles it.  The
-three caches are private, so a tracer that rebinds the public functions
-leaves them to ``clear_caches``, and ``CACHE_SIZE`` bounds each.
+the exact answer to its query (graph, forced and deleted vertices), if one
+is held, then the bounds that earlier decisions proved on that same query,
+and searches only when neither settles it.  The three caches are private,
+so a tracer that rebinds the public functions leaves them to
+``clear_caches``, and ``CACHE_SIZE`` bounds each.  ``clear_caches`` also
+empties ``path_addition``'s memo of path-added graphs.
 """
 
 from functools import lru_cache
@@ -295,6 +304,10 @@ def _solve(
         rec(include.bit_count(), include, dominated, allowed)
     except _Found:
         pass
+    finally:
+        # rec reaches itself through its closure: emptying that cell frees
+        # the search now, not at the next cyclic garbage collection
+        del rec
     # a decision that found no set keeps the greedy one, of more than target
     return best[1].bit_count(), best[1]
 
@@ -308,8 +321,8 @@ class _Memo(dict):
     """Every kernel answer, at most ``CACHE_SIZE`` of them; the oldest go first.
 
     ``_search[g, include, drop, independent]`` is the exact (size, mask),
-    solved on a miss.  Under the key ``g`` alone a decision keeps the
-    bounds (lo, hi) it has proven on the domination number of g.
+    solved on a miss.  Under the key ``(g, include, drop)`` a decision keeps
+    the bounds (lo, hi) it has proven on the least size of such a set.
     """
 
     def __missing__(self, key: tuple[Graph, int, int, bool]) -> tuple[int, int]:
@@ -412,6 +425,7 @@ def _relation(g: Graph) -> tuple[int, ...]:
 
     if n:
         rec(0, full, gamma)
+    del rec  # as in _solve: break the closure's cycle through itself
     # each row so far holds only what was added below its vertex: the rest
     # is filled by symmetry, and a last vertex's own bit from ``last``
     for x in bits(last):
@@ -427,23 +441,37 @@ def domination_number(g: Graph) -> int:
     return _search[g, 0, 0, False][0]
 
 
-def domination_number_at_most(g: Graph, t: int) -> bool:
-    """True iff g has a dominating set of at most t vertices.
+def domination_number_at_most(
+    g: Graph, t: int, *, include: Iterable[int] = (), delete: Iterable[int] = ()
+) -> bool:
+    """True iff g minus ``delete`` has a dominating set of at most t
+    vertices that contains ``include`` (labels as in
+    ``constrained_domination_number``).
 
     An exact answer already held decides it; otherwise the bounds that
-    earlier decisions proved on g may, and a search that stops at the
-    first set of at most t vertices does the rest.
+    earlier decisions proved on the same query may, and a search that
+    stops at the first set of at most t vertices does the rest.
     """
-    exact = _search.get((g, 0, 0, False))
+    inc = _checked_mask(g, include) if include else 0
+    drop = _checked_mask(g, delete) if delete else 0
+    if inc & drop:
+        raise ValueError("include and delete overlap")
+    return _at_most(g, t, inc, drop)
+
+
+def _at_most(g: Graph, t: int, inc: int, drop: int) -> bool:
+    """``domination_number_at_most`` on checked masks."""
+    exact = _search.get((g, inc, drop, False))
     if exact is not None:
         return exact[0] <= t
-    lo, hi = _search.get(g, (0, g.n))
+    key = (g, inc, drop)
+    lo, hi = _search.get(key, (0, g.n))
     if hi <= t:
         return True
     if lo > t:
         return False
-    size = _solve(g.closed, g.n, target=t)[0]
-    _search.add(g, (lo, size) if size <= t else (t + 1, hi))
+    size = _solve(g.closed, g.n, inc, drop, target=t)[0]
+    _search.add(key, (lo, size) if size <= t else (t + 1, hi))
     return size <= t
 
 
@@ -502,12 +530,20 @@ def _classify(g: Graph) -> DominationReport:
     gamma, witness_mask = _search[g, 0, 0, False]
     rel = _relation(g)
     good = tuple(bool(rel[v] >> v & 1) for v in range(g.n))
-    # a critical vertex v is good: a dominating set of g - v of size gamma - 1,
-    # plus v, is a minimum dominating set of g that contains v.  So a bad
-    # vertex needs no delete-one solve
-    critical = tuple(
-        good[v] and _search[g, 0, 1 << v, False][0] == gamma - 1 for v in range(g.n)
-    )
+    # for a critical v, a dominating set S of g - v of size gamma - 1, plus v,
+    # is a minimum dominating set of g that contains v, so S lies in rel[v]
+    # and dominates every neighbour of v.  A vertex with a neighbour that no
+    # other vertex of rel[v] dominates (every bad vertex: rel[v] is empty)
+    # needs no delete-one search.  Since gamma(g - v) >= gamma - 1, the rest
+    # are critical exactly when g - v has a dominating set of gamma - 1
+    # vertices, a decision
+    critical = []
+    for v in range(g.n):
+        others = 0
+        for x in bits(rel[v] & ~(1 << v)):
+            others |= g.closed[x]
+        critical.append(not g.nbr[v] & ~others and _at_most(g, gamma - 1, 0, 1 << v))
+    critical = tuple(critical)
     return DominationReport(
         gamma=gamma,
         witness=set_of(witness_mask),
@@ -527,7 +563,11 @@ def all_minimum_sets_cliques(g: Graph) -> bool:
 
 
 def clear_caches() -> None:
-    """Drop all per-graph memoization; corpus runs call it once per graph."""
+    """Drop all per-graph memoization, the path-added graphs of
+    ``path_addition`` included; corpus runs call it once per graph."""
+    from .path_addition import _add_path  # that module imports this one
+
     _search.clear()
     _relation.cache_clear()
     _classify.cache_clear()
+    _add_path.cache_clear()

@@ -15,8 +15,8 @@ from typing import NamedTuple
 from .domination import (
     all_minimum_sets_cliques,
     classify_vertices,
-    constrained_domination_number,
     domination_number,
+    domination_number_at_most,
     shares_minimum_set,
 )
 from .graphs import Graph
@@ -35,17 +35,12 @@ __all__ = [
 
 
 # -- the per-pair rules, each stated once ------------------------------------
-
-
-def _gamma_without(g: Graph, drop: tuple[int, ...]) -> int:
-    return constrained_domination_number(g, delete=drop)
-
-
-def _good_in_without(g: Graph, vertex: int, removed: int) -> bool:
-    """Is ``vertex`` in some minimum dominating set of g - removed?"""
-    return constrained_domination_number(
-        g, include=(vertex,), delete=(removed,)
-    ) == _gamma_without(g, (removed,))
+#
+# Each rule reads a yes/no fact about a one- or two-vertex deletion, and each
+# is asked as a decision: is there a dominating set of at most t vertices?
+# Deleting a vertex lowers gamma by at most one (a dominating set of h - x
+# plus x dominates h), so gamma(g - S) >= gamma - |S|, and an upper bound
+# settles the equalities below.
 
 
 def _k2_keeps(g, u, v, rep) -> bool:
@@ -56,32 +51,45 @@ def _k2_keeps(g, u, v, rep) -> bool:
 
 def _k1_rises(g, u, v, rep) -> bool:
     """One inserted vertex between the nonadjacent pair raises gamma: both
-    endpoints are bad and neither turns critical once the other is gone."""
+    endpoints are bad and neither turns critical once the other is gone.
+
+    A bad vertex x keeps gamma(g - x) = gamma: a minimum set avoids x and
+    dominates g - x, and gamma - 1 would make x critical, hence good.  So u
+    stays noncritical in g - v exactly when gamma(g - {u, v}) >= gamma, and
+    likewise v in g - u: one decision answers both."""
     if not (rep.bad[u] and rep.bad[v]):
         return False
-    # u critical in g-v would mean gamma(g-{u,v}) < gamma(g-v)
-    d_uv = _gamma_without(g, (u, v))
-    return d_uv >= _gamma_without(g, (v,)) and d_uv >= _gamma_without(g, (u,))
+    return not domination_number_at_most(g, rep.gamma - 1, delete=(u, v))
 
 
 def _drops_two(g, u, v, rep) -> bool:
     """Deleting the pair lowers gamma by two.
 
-    Only a pair of critical vertices can.  A dominating set of h - x plus x
-    dominates h, so deleting a vertex lowers gamma by at most one, and
-    gamma(g-{u,v}) >= gamma(g-u) - 1 >= gamma - 2.  Equality at the left end
-    thus forces gamma(g-u) = gamma - 1, and likewise gamma(g-v).  Other
-    pairs need no pair-deletion solve."""
+    Only a pair of critical vertices can: gamma(g-{u,v}) >= gamma(g-u) - 1
+    >= gamma - 2, so equality at the left end forces gamma(g-u) = gamma - 1,
+    and likewise gamma(g-v).  Other pairs need no pair-deletion search; for
+    a critical pair, whether a set of gamma - 2 vertices dominates g-{u,v}
+    decides it."""
     return (rep.critical[u] and rep.critical[v]
-            and _gamma_without(g, (u, v)) == rep.gamma - 2)
+            and domination_number_at_most(g, rep.gamma - 2, delete=(u, v)))
+
+
+def _good_in_without(g, vertex, removed, rep) -> bool:
+    """Is ``vertex`` in some minimum dominating set of g - removed, for a
+    critical ``removed``?  Then gamma(g - removed) = gamma - 1, so the
+    question is whether a set of gamma - 1 vertices containing ``vertex``
+    dominates g - removed."""
+    return domination_number_at_most(
+        g, rep.gamma - 1, include=(vertex,), delete=(removed,)
+    )
 
 
 def _deleted_pairing(g, u, v, rep) -> bool:
     """One endpoint critical while the other stays in some minimum set of
     the graph with that endpoint removed."""
-    if rep.critical[u] and _good_in_without(g, v, u):
+    if rep.critical[u] and _good_in_without(g, v, u, rep):
         return True
-    return rep.critical[v] and _good_in_without(g, u, v)
+    return rep.critical[v] and _good_in_without(g, u, v, rep)
 
 
 # -- per-pair predictions -----------------------------------------------------

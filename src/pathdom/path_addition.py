@@ -10,13 +10,20 @@ k it asks a decision, whether G_{u,v,k} still has a dominating set of at
 most gamma(G) vertices, and that search stops at the first such set; an
 exact gamma(G_{u,v,k}) already memoised answers it without a search.
 ``domination_after_path`` stays an exact query.
+
+A verify run asks about the same G_{u,v,k} several times: its exact value,
+the scan, a profile.  ``add_path`` builds each one once and then returns
+the same object, so the kernel's memo finds it by identity.  Its memo is
+bounded by ``domination.CACHE_SIZE`` and emptied by
+``domination.clear_caches``.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .domination import domination_number, domination_number_at_most
+from .domination import CACHE_SIZE, domination_number, domination_number_at_most
 from .graphs import Graph
 
 __all__ = [
@@ -45,8 +52,16 @@ def add_path(g: Graph, u: int, v: int, k: int) -> Graph:
 
     Internal vertices are labeled n..n+k-1 in path order from u to v.
     k=0 adds the edge uv (idempotent when the edge is already present).
-    Any existing edge uv stays.
+    Any existing edge uv stays.  The same arguments return the same graph
+    object until ``clear_caches``.
     """
+    return _add_path(g, u, v, k)
+
+
+# private, like the caches of ``domination``: a tracer that rebinds
+# ``add_path`` leaves this memo to ``clear_caches``
+@lru_cache(maxsize=CACHE_SIZE)
+def _add_path(g: Graph, u: int, v: int, k: int) -> Graph:
     n = g.n
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("endpoints out of range")

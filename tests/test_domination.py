@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from itertools import combinations, combinations_with_replacement, islice, product
@@ -40,7 +41,14 @@ from pathdom.families import (
 )
 from pathdom.families import generate_family, parse_family_spec
 from pathdom.graphs import Graph, bits, enumerate_labeled_graphs, mask_of, set_of
-from pathdom.path_addition import add_path, domination_after_path, path_addition_number
+from pathdom import path_addition
+from pathdom.oracle import predict_pair
+from pathdom.path_addition import (
+    _add_path,
+    add_path,
+    domination_after_path,
+    path_addition_number,
+)
 from pathdom.verify import _brute_minimum_sets, random_graph
 
 from .conftest import (
@@ -154,12 +162,31 @@ class TestClassify:
         assert rep.critical_vertices == frozenset()
 
     def test_bad_vertices_take_no_deletion_solve(self, kernel_solves):
-        # a critical vertex is good, so only the good center of star(5) is
-        # solved with itself deleted; the other two solves are gamma and the
-        # independent domination number
-        rep = classify_vertices(star(5))
+        # a critical vertex is good, and its neighbours are dominated by the
+        # rest of a minimum set that contains it.  The only minimum set of
+        # star(5) is its center, which dominates the leaves alone: no vertex
+        # is searched with itself deleted, and the two solves are gamma and
+        # the independent domination number
+        g = star(5)
+        rep = classify_vertices(g)
         assert rep.good == (True,) + (False,) * 5
-        assert len(kernel_solves) == 3
+        assert len(kernel_solves) == 2
+        # a bad pair's k=1 rule is one pair-deletion decision, not that
+        # deletion plus one deletion of each endpoint
+        for u, v in combinations(range(1, 6), 2):
+            predict_pair(g, u, v)
+        assert len(kernel_solves) == 2 + 10
+
+    def test_good_vertices_with_a_lone_neighbour_take_no_deletion_solve(self, kernel_solves):
+        # every vertex of cycle(6) is good, and in each of its minimum sets
+        # {0, 3}, {1, 4}, {2, 5} a vertex alone dominates both its neighbours
+        rep = classify_vertices(cycle(6))
+        assert all(rep.good) and not rep.critical_vertices
+        assert len(kernel_solves) == 2
+        # path(4): the leaves are critical, and the decisions find it
+        rep = classify_vertices(path(4))
+        assert rep.critical_vertices == {0, 3}
+        assert len(kernel_solves) == 2 + 2 + 2
 
     def test_rook3_all_critical(self):
         rep = classify_vertices(rook(3))
@@ -314,6 +341,22 @@ class TestKernelContract:
             assert mask.bit_count() == size
             if conflict and not include:
                 assert g.is_independent_set(bits(mask))
+
+
+class TestNoGarbage:
+    """A search frees its closure when it returns: none is left for the
+    cyclic garbage collector."""
+
+    def test_searches_leave_no_cycles(self):
+        g = rook(4)
+        clear_caches()
+        gc.collect()
+        for target in (None, 3, 4):
+            _solve(g.closed, g.n, target=target)
+            assert gc.collect() == 0
+        _relation(g)
+        assert gc.collect() == 0
+        clear_caches()
 
 
 class TestKernelMatchesReference:
@@ -530,6 +573,32 @@ class TestMemo:
         clear_caches()
         assert domination_number_at_most(g, 3) and not domination_number_at_most(g, 2)
         assert len(_search) == 1
+        # a constrained decision keeps its bounds under its own query
+        assert domination_number_at_most(g, 2, delete=[0])
+        assert len(_search) == 2 and (g, 0, 1) in _search
+
+    def test_bounds_are_kept_per_query(self):
+        # gamma(C7 - 0) = 2 < gamma(C7) = 3 < 4, the least dominating set
+        # that contains 0, 1 and 2: a bound proven on one query answers no other
+        clear_caches()
+        g = cycle(7)
+        assert domination_number_at_most(g, 2, delete=[0])
+        assert not domination_number_at_most(g, 2)
+        assert not domination_number_at_most(g, 3, include=[0, 1, 2])
+        assert domination_number_at_most(g, 3)
+        assert not domination_number_at_most(g, 1, delete=[0])
+        clear_caches()
+
+    def test_each_path_graph_is_built_once(self):
+        clear_caches()
+        g = cycle(7)
+        h = add_path(g, 0, 3, 2)
+        assert add_path(g, 0, 3, 2) is h and add_path(g, 3, 0, 2) is not h
+        assert domination_after_path(g, 0, 3, 2) == domination_number(h)
+        # the scan builds k = 1 and 3 and reuses k = 2: four graphs in all
+        assert path_addition_number(g, 0, 3) == 3
+        assert _add_path.cache_info().currsize == 4
+        clear_caches()
 
     def test_overlap_is_rejected_before_the_lookup(self):
         clear_caches()
@@ -540,8 +609,11 @@ class TestMemo:
     def test_library_loop_stays_bounded(self, kernel_solves):
         for g in enumerate_labeled_graphs(6):  # 32,768 graphs, never cleared
             classify_vertices(g)
+            add_path(g, 0, 1, 1)
         assert len(kernel_solves) > CACHE_SIZE >= len(_search)
-        for cached in (_relation, _classify):
+        # the critical flags' deletion decisions keep constrained bounds
+        assert any(len(key) == 3 and key[2] for key in _search)
+        for cached in (_relation, _classify, _add_path):
             info = cached.cache_info()
             assert info.maxsize == CACHE_SIZE
             assert info.misses > CACHE_SIZE >= info.currsize
@@ -554,9 +626,11 @@ class TestMemo:
     def test_clear_caches_empties_every_cache(self):
         classify_vertices(cycle(6))
         domination_number_at_most(cycle(9), 2)
+        domination_number_at_most(cycle(9), 2, include=[0], delete=[4])
+        path_addition_number(cycle(6), 0, 2)
         clear_caches()
         assert len(_search) == 0
-        for cached in (_relation, _classify):
+        for cached in (_relation, _classify, _add_path):
             assert cached.cache_info().currsize == 0
 
     def test_clear_caches_survives_rebound_public_names(self, monkeypatch):
@@ -564,9 +638,12 @@ class TestMemo:
         for name in ("classify_vertices", "domination_number"):
             fn = getattr(domination, name)
             monkeypatch.setattr(domination, name, lambda g, fn=fn: fn(g))
+        monkeypatch.setattr(path_addition, "add_path",
+                            lambda *args, fn=path_addition.add_path: fn(*args))
         domination.classify_vertices(cycle(6))
-        assert _relation.cache_info().currsize
+        path_addition.add_path(cycle(6), 0, 2, 1)
+        assert _relation.cache_info().currsize and _add_path.cache_info().currsize
         domination.clear_caches()
         assert len(_search) == 0
-        for cached in (_relation, _classify):
+        for cached in (_relation, _classify, _add_path):
             assert cached.cache_info().currsize == 0

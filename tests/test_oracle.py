@@ -1,10 +1,12 @@
 from collections import Counter
+from functools import cache
+from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from pathdom.domination import classify_vertices, domination_number
+from pathdom.domination import classify_vertices, clear_caches, domination_number
 from pathdom.families import (
     complete,
     complete_bipartite,
@@ -16,8 +18,11 @@ from pathdom.families import (
     rook,
     star,
 )
-from pathdom.graphs import Graph, enumerate_labeled_graphs
+from pathdom.graphs import Graph, enumerate_labeled_graphs, mask_of
 from pathdom.oracle import (
+    _deleted_pairing,
+    _drops_two,
+    _k1_rises,
     all_nonadjacent_pa_three,
     characterize_aggregates,
     classify_regions,
@@ -31,7 +36,7 @@ from pathdom.path_addition import (
     path_addition_profile,
 )
 
-from .conftest import delete_vertices, graphs, graphs_with_pair, naive_gamma
+from .conftest import delete_vertices, graphs, graphs_with_pair, naive_gamma, reference_solve
 
 
 def k3_union_k3():
@@ -203,6 +208,41 @@ def test_atlas_fires_every_rule():
         "max-nonadjacent=5:some-pair-deletion-drops-two",
     }
     assert regions == {"NotInA": 1193, "R0": 30, "R3": 12, "R4": 7, "R5": 3}
+
+
+class TestDeletionDecisions:
+    """Every deletion fact the rules read is asked as a decision; each equals
+    its exact definition, solved by the reference search."""
+
+    def test_atlas_matches_exact_definitions(self):
+        for h in nx.graph_atlas_g():  # every graph on at most 7 vertices
+            g = Graph(h.number_of_nodes(), list(h.edges()))
+
+            @cache
+            def gamma_of(include=(), delete=()):
+                return reference_solve(g.closed, g.n, mask_of(include), mask_of(delete))[0]
+
+            # one cache per graph, shared by every query of it, as in a
+            # verify run: a bound proven on one query must not answer another
+            clear_caches()
+            rep = classify_vertices(g)
+            gamma = gamma_of()
+            bad = [gamma_of(include=(x,)) > gamma for x in range(g.n)]
+            critical = [gamma_of(delete=(x,)) == gamma - 1 for x in range(g.n)]
+            assert list(rep.critical) == critical
+
+            def stays_good(vertex, removed):  # in a minimum set of g - removed
+                return gamma_of(include=(vertex,), delete=(removed,)) == gamma_of(delete=(removed,))
+
+            for u, v in combinations(range(g.n), 2):
+                pair = gamma_of(delete=(u, v))
+                assert _k1_rises(g, u, v, rep) == (
+                    bad[u] and bad[v]
+                    and pair >= gamma_of(delete=(v,)) and pair >= gamma_of(delete=(u,)))
+                assert _drops_two(g, u, v, rep) == (pair == gamma - 2)
+                assert _deleted_pairing(g, u, v, rep) == (
+                    critical[u] and stays_good(v, u) or critical[v] and stays_good(u, v))
+        clear_caches()
 
 
 class TestAggregates:
