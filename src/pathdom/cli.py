@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 from .domination import classify_vertices, domination_number, minimum_dominating_set
 from .families import generate_family, parse_family_spec
 from .formats import GraphFormatError, emit_edge_list, emit_graph6, jsonable, load_graphs
-from .graphs import DEFAULT_ENUMERATION_CAP
 from .oracle import classify_regions, predict_pair
 from .path_addition import path_addition_number, path_addition_profile
 from .verify import CorpusSpec, DEFAULT_SUITES, SUITES, _compact, run_verification
@@ -215,7 +214,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exhaustive", "random", "file", "family"),
                    default="exhaustive")
     p.add_argument("--n", default="4",
-                   help="exhaustive: max n or 'lo-hi' range; random: exact n")
+                   help="exhaustive: max n (at most 6) or 'lo-hi' range; random: exact n")
     p.add_argument("--connected", action="store_true",
                    help="keep only connected graphs")
     p.add_argument("--count", type=int, default=100, help="random: number of graphs")
@@ -230,8 +229,6 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
                    help=f"suite name (repeatable); 'all' = {', '.join(DEFAULT_SUITES)};"
                         f" also available: "
                         f"{', '.join(s for s in SUITES if s not in DEFAULT_SUITES)}")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="guard cap for exhaustive enumeration")
     p.add_argument("--max-counterexamples", type=int, default=25)
     p.add_argument("--json", default="",
                    help="write the JSON report to this path ('-' prints JSON only)")
@@ -260,8 +257,7 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 def _cmd_verify(args) -> int:
     if args.mode == "exhaustive":
         n_min, n_max = _parse_n_range(args.n)
-        spec = CorpusSpec.exhaustive(n_max, n_min, connected_only=args.connected,
-                                     cap=args.cap)
+        spec = CorpusSpec.exhaustive(n_max, n_min, connected_only=args.connected)
     elif args.mode == "random":
         if not args.n.strip().isdecimal():
             raise ValueError(f"--n takes one nonnegative integer in random mode, "

@@ -140,6 +140,15 @@ def _checked_mask(g: Graph, vertices: Iterable[int]) -> int:
     return m
 
 
+def _query_masks(g: Graph, include: Iterable[int], delete: Iterable[int]) -> tuple[int, int]:
+    """The checked (include, drop) masks of a constrained kernel query."""
+    inc = _checked_mask(g, include) if include else 0
+    drop = _checked_mask(g, delete) if delete else 0
+    if inc & drop:
+        raise ValueError("include and delete overlap")
+    return inc, drop
+
+
 class _Found(Exception):
     """A decision search recorded a set of at most its target vertices."""
 
@@ -331,11 +340,6 @@ class _Memo(dict):
         self.add(key, answer)
         return answer
 
-    def __call__(self, g: Graph, include: int, drop: int, independent: bool) -> tuple[int, int]:
-        """The exact answer as a call, for tests that compare it with others;
-        the program subscripts, one lookup with no Python frame."""
-        return self[g, include, drop, independent]
-
     def add(self, key, value) -> None:
         if len(self) >= CACHE_SIZE:
             # the older half goes at once: removing the oldest one entry at
@@ -452,10 +456,7 @@ def domination_number_at_most(
     earlier decisions proved on the same query may, and a search that
     stops at the first set of at most t vertices does the rest.
     """
-    inc = _checked_mask(g, include) if include else 0
-    drop = _checked_mask(g, delete) if delete else 0
-    if inc & drop:
-        raise ValueError("include and delete overlap")
+    inc, drop = _query_masks(g, include, delete)
     return _at_most(g, t, inc, drop)
 
 
@@ -486,10 +487,7 @@ def constrained_domination_number(
     """Minimum size of a dominating set of g minus ``delete`` forced to
     contain ``include``.  Labels stay those of g: the deleted vertices are
     simply ignored, never relabeled."""
-    inc = _checked_mask(g, include)
-    drop = _checked_mask(g, delete)
-    if inc & drop:
-        raise ValueError("include and delete overlap")
+    inc, drop = _query_masks(g, include, delete)
     return _search[g, inc, drop, False][0]
 
 

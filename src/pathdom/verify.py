@@ -28,8 +28,7 @@ from .domination import (
 )
 from .families import generate_family, parse_family_spec
 from .formats import GraphFormatError, emit_graph6, iter_entries, jsonable
-from .graphs import (DEFAULT_ENUMERATION_CAP, Graph, enumerate_labeled_graphs, from_edge_mask,
-                     subdivide_edge)
+from .graphs import Graph, enumerate_labeled_graphs, from_edge_mask, subdivide_edge
 from .path_addition import (
     INFINITE,
     add_path,
@@ -53,6 +52,8 @@ WORKERS_ENV = "PATHDOM_WORKERS"
 SCHEMA = "pathdom-verify/1"
 PRNG_NAME = "python-random-mt19937"
 NAIVE_CROSS_CHECK_MAX_N = 6
+# the largest n of an exhaustive corpus: n = 7 alone has 2,097,152 labeled graphs
+_EXHAUSTIVE_MAX_N = 6
 # consecutive disconnected draws after which a --connected corpus gives up
 MAX_CONSECUTIVE_REJECTIONS = 10_000
 # corpus graphs handed to the worker pool at a time
@@ -65,7 +66,8 @@ POOL_WINDOW = 512
 class CorpusSpec(NamedTuple):
     """A reproducible corpus of graphs.
 
-    mode "exhaustive": all labeled graphs with n_min <= n <= n_max.
+    mode "exhaustive": all labeled graphs with n_min <= n <= n_max, where
+        n_max is at most 6; larger n go through file corpora.
     mode "random": ``count`` graphs on ``n`` vertices, each pair an edge
         with probability ``edge_probability``, fully determined by ``seed``.
     mode "file": graphs read from ``path`` (graph6 lines or one edge list).
@@ -83,17 +85,14 @@ class CorpusSpec(NamedTuple):
     path: str = ""
     fmt: str = "auto"
     families: tuple[str, ...] = ()
-    cap: int = DEFAULT_ENUMERATION_CAP
 
     @classmethod
-    def exhaustive(cls, n_max, n_min=0, connected_only=False, cap=DEFAULT_ENUMERATION_CAP):
-        # the default cap guard stays; pass cap= explicitly for bigger runs
+    def exhaustive(cls, n_max, n_min=0, connected_only=False):
         return cls(
             mode="exhaustive",
             n_min=n_min,
             n_max=n_max,
             connected_only=connected_only,
-            cap=cap,
         )
 
     @classmethod
@@ -122,7 +121,7 @@ class CorpusSpec(NamedTuple):
                 n_min=self.n_min,
                 n_max=self.n_max,
                 connected_only=self.connected_only,
-                cap=self.cap,
+                cap=_EXHAUSTIVE_MAX_N,
             )
         elif self.mode == "random":
             cfg.update(
@@ -153,15 +152,16 @@ def _entries(spec: CorpusSpec):
     malformed file entry's GraphFormatError, ``line`` a graph6 file entry's
     line number (else None); indices count malformed entries too."""
     if spec.mode == "exhaustive":
-        if spec.n_max > spec.cap:
-            # fail before iterating, not after grinding through smaller n
+        if spec.n_max > _EXHAUSTIVE_MAX_N:
+            # fail before the first graph, not after grinding through smaller n
             raise ValueError(
-                f"n={spec.n_max} exceeds the enumeration cap {spec.cap}; "
-                f"raise cap= explicitly"
+                f"exhaustive corpora stop at n={_EXHAUSTIVE_MAX_N}, got n={spec.n_max}; "
+                f"verify larger n through a file corpus (--mode file), such as "
+                f"the networkx graph atlas"
             )
         idx = 0
         for n in range(spec.n_min, spec.n_max + 1):
-            for g in enumerate_labeled_graphs(n, spec.connected_only, cap=spec.cap):
+            for g in enumerate_labeled_graphs(n, spec.connected_only):
                 yield idx, None, g
                 idx += 1
     elif spec.mode == "random":

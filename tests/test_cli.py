@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pathdom import cli
+from pathdom import cli, verify
 from pathdom.cli import main
 from pathdom.families import rook
 from pathdom.formats import emit_graph6
@@ -245,10 +245,22 @@ class TestVerify:
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
 
-    def test_exhaustive_cap_guard(self, capsys):
+    def test_exhaustive_beyond_the_limit_is_exit_2(self, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(verify, "enumerate_labeled_graphs",
+                            lambda *args: drawn.append(args) or iter(()))
         assert main(["verify", "--mode", "exhaustive", "--n", "7",
                      "--suite", "chains"]) == 2
-        assert "cap" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert not drawn and not captured.out
+        assert captured.err.startswith("error: exhaustive corpora stop at n=6, got n=7")
+        assert "--mode file" in captured.err
+
+    def test_cap_is_an_unknown_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mode", "exhaustive", "--n", "4", "--cap", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 7" in capsys.readouterr().err
 
 
 def test_module_entry_point(p4_file):

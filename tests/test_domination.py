@@ -395,7 +395,7 @@ class TestKernelMatchesReference:
         for u, v in combinations(range(g.n), 2):
             for k in range(1, 6):
                 h = add_path(g, u, v, k)
-                assert _search(h, 0, 0, False) == reference_solve(h.closed, h.n)
+                assert _search[h, 0, 0, False] == reference_solve(h.closed, h.n)
 
 
 class TestDecisions:

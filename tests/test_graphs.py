@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given
 
@@ -124,11 +126,11 @@ class TestEnumeration:
         seen = {edge_mask(g) for g in enumerate_labeled_graphs(4)}
         assert len(seen) == 64
 
-    def test_cap_guard(self):
-        with pytest.raises(ValueError):
-            next(enumerate_labeled_graphs(7))
-        # explicit cap raise works
-        assert next(enumerate_labeled_graphs(7, cap=7)).n == 7
+    def test_enumeration_is_lazy(self):
+        # n = 9 has 2^36 labeled graphs: only the ones drawn are built
+        drawn = list(islice(enumerate_labeled_graphs(9), 3))
+        assert [edge_mask(g) for g in drawn] == [0, 1, 2]
+        assert all(g.n == 9 for g in drawn)
 
 
 class TestEdgeMask:

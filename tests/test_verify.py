@@ -93,11 +93,14 @@ class TestCorpus:
         with pytest.raises(ValueError):
             list(iter_corpus(CorpusSpec(mode="bogus")))
 
-    def test_exhaustive_cap_guard_holds_unless_raised(self):
-        with pytest.raises(ValueError):
-            list(iter_corpus(CorpusSpec.exhaustive(7)))
-        spec = CorpusSpec.exhaustive(7, n_min=7, cap=7)
-        assert next(iter_corpus(spec))[1].n == 7
+    def test_exhaustive_limit_fails_before_the_first_graph(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(verify, "enumerate_labeled_graphs",
+                            lambda n, connected_only: drawn.append(n) or iter(()))
+        with pytest.raises(ValueError, match=r"stop at n=6, got n=7; .*--mode file"):
+            next(iter_corpus(CorpusSpec.exhaustive(7, n_min=7)))
+        assert drawn == []
+        assert list(iter_corpus(CorpusSpec.exhaustive(6, n_min=6))) == [] and drawn == [6]
 
 
 class TestRunner:
