@@ -11,13 +11,11 @@ algorithms for dominating set", Discrete Appl. Math. 159, 2011):
 undominated vertices whose candidate dominators are pairwise disjoint
 each need their own new vertex; they are counted in the same pass that
 picks the branch vertex, which stops as soon as the count rules the node
-out.  In a pendant-rich graph, where pendant and isolated vertices make
-up a quarter of the vertices, a node that has a narrow vertex (at most
-two candidate dominators) also counts a second packing, which takes the
-narrow vertices first and then the rest in label order.  A wider vertex
-counted first blocks them: in a corona the label-order packing counts
-each base vertex before its pendant and misses the count that closes the
-node.  Elsewhere the second pass costs more per node than it saves.
+out.  The pass takes the narrow vertices (closed rows of at most two
+bits: pendant and isolated vertices) first, then the rest, each in label
+order.  A wider vertex counted first blocks them: in a corona a
+label-order packing counts each base vertex before its pendant and
+misses the count that closes the node.
 A node with room for one more vertex only (the incumbent is two above
 its size) is settled without branching: the vertices that complete the
 set are the common candidate dominators of its undominated vertices, and
@@ -66,7 +64,9 @@ room, so each such state is searched once: branches that dominate the
 same vertices meet again, and a graph of k disjoint pendant pairs takes
 about 2k nodes for its 2^k minimum sets.  Sharing a set is symmetric, so
 each row is then completed from the others.  The state memo lives as long
-as one search and is freed when it returns.  It is a function of its own
+as one search and is freed when it returns; it holds at most
+``_RELATION_STATES`` states and is emptied when full, which costs time but
+no answer, since it only caches subtrees.  It is a function of its own
 rather than a mode of ``_solve``: it differs at the target, the returned
 union and the state memo, and each would be a branch in the kernel.
 ``shares_minimum_set``, ``all_minimum_sets_cliques``, ``good`` and
@@ -186,17 +186,19 @@ def _solve(
     allowed = full & ~include
     undom = full & ~dominated
 
-    # the second packing bound below pays for its pass only where pendant
-    # and isolated vertices (closed rows of at most two bits) make up a
-    # quarter of the graph.  Every solve pays for the test, so it shares one
-    # sort of the row sizes with the greedy cap, which cost about as much alone
-    sizes = sorted(map(int.bit_count, closed))
-    pendant_rich = n > 0 and sizes[(n - 1) // 4] <= 2
+    # narrow vertices (closed rows of at most two bits: pendant and isolated
+    # ones) are packed first below; the widest row caps the greedy pick
+    narrow, widest = 0, 0
+    for x, row in enumerate(closed):
+        k = row.bit_count()
+        if k <= 2:
+            narrow |= 1 << x
+        if k > widest:
+            widest = k
 
     # greedy incumbent: repeatedly take the allowed vertex covering the most;
     # the first to reach the cap cannot be strictly beaten by a later one
     mask, avail = include, allowed
-    widest = sizes[-1] if sizes else 0
     while undom:
         pick, pickcov = -1, 0
         cap = min(undom.bit_count(), widest)
@@ -250,54 +252,26 @@ def _solve(
                 break
         else:
             return
-        # branch vertex: undominated with fewest candidate dominators.  The
-        # same pass counts undominated vertices whose candidate sets are
-        # disjoint from those counted before (a packing bound): each needs
-        # its own new vertex
+        # branch vertex: undominated with fewest candidate dominators, lowest
+        # label on ties.  The same pass counts undominated vertices whose
+        # candidate sets are disjoint from those counted before (a packing
+        # bound): each needs its own new vertex.  The narrow ones go first,
+        # before a wider vertex can use up their candidates
         w, wcount = -1, n + 1
         packed, used = 0, 0
-        m = undom
-        while m:
-            b = m & -m
-            x = b.bit_length() - 1
-            cand = closed[x] & allowed
-            if not cand & used:
-                packed += 1
-                if packed >= room:
-                    return
-                used |= cand
-            cnt = cand.bit_count()
-            if cnt < wcount:
-                w, wcount = x, cnt
-            m ^= b
-        if pendant_rich and wcount <= 2:
-            # a second packing takes the narrow vertices (at most two
-            # candidates) first, then the rest in label order: a wider
-            # vertex counted first blocks them, as a base vertex of a corona
-            # blocks its pendant.  Without a narrow vertex the two packings
-            # are the same
-            packed, used, wide = 0, 0, 0
-            m = undom
+        for m in (undom & narrow, undom & ~narrow):
             while m:
                 b = m & -m
-                cand = closed[b.bit_length() - 1] & allowed
-                if cand.bit_count() > 2:
-                    wide |= b
-                elif not cand & used:
-                    packed += 1
-                    if packed >= room:
-                        return
-                    used |= cand
-                m ^= b
-            m = wide
-            while m:
-                b = m & -m
-                cand = closed[b.bit_length() - 1] & allowed
+                x = b.bit_length() - 1
+                cand = closed[x] & allowed
                 if not cand & used:
                     packed += 1
                     if packed >= room:
                         return
                     used |= cand
+                cnt = cand.bit_count()
+                if cnt < wcount or cnt == wcount and x < w:
+                    w, wcount = x, cnt
                 m ^= b
         rem = allowed
         m = closed[w] & allowed
@@ -350,6 +324,10 @@ class _Memo(dict):
 
 
 _search = _Memo()
+
+# the relation search's state memo only caches subtrees, so emptying it
+# when full keeps every row exact; rook(8) fills 108,632 states unbounded
+_RELATION_STATES = 1 << 16
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -424,6 +402,8 @@ def _relation(g: Graph) -> tuple[int, ...]:
                 rel[c] |= sub
                 found |= sub
             m ^= cbit
+        if len(seen) >= _RELATION_STATES:
+            seen.clear()
         seen[key] = found
         return found
 

@@ -40,6 +40,7 @@ from pathdom.families import (
     star,
 )
 from pathdom.families import generate_family, parse_family_spec
+from pathdom.formats import parse_graph6
 from pathdom.graphs import Graph, bits, enumerate_labeled_graphs, mask_of, set_of
 from pathdom import path_addition
 from pathdom.oracle import predict_pair
@@ -397,6 +398,53 @@ class TestKernelMatchesReference:
                 h = add_path(g, u, v, k)
                 assert _search[h, 0, 0, False] == reference_solve(h.closed, h.n)
 
+    # the narrow-first pass meets the branch vertex out of label order, so
+    # only the tie-break keeps it the lowest label among the fewest
+    # candidates; without it these two queries return (2, 34) and (4, 101)
+    @pytest.mark.parametrize("g6, delete, answer", [
+        ("EBa_", {4}, (2, 9)), ("GA?APo", {3}, (4, 163))])
+    def test_branch_vertex_ties_go_to_the_lowest_label(self, g6, delete, answer):
+        g = parse_graph6(g6)
+        drop = mask_of(delete)
+        assert _solve(g.closed, g.n, drop=drop) == reference_solve(g.closed, g.n, drop=drop) == answer
+
+
+def within_nodes(search, limit, call):
+    """call(), failing once it opens more than ``limit`` frames of the inner
+    ``rec`` of ``search``: its search nodes."""
+    rec = next(c for c in search.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is rec:
+            nodes += 1
+            if nodes > limit:
+                raise RuntimeError(f"more than {limit} {search.__name__} nodes")
+
+    sys.setprofile(count)
+    try:
+        return call()
+    finally:
+        sys.setprofile(None)
+
+
+class TestCoronas:
+    """Packing the narrow vertices first closes a corona at the root: the
+    label-order packing counts each base vertex before its pendant and
+    misses the count, and the search then grows like a Fibonacci sequence
+    (121,391 nodes for an independent query on corona(path(24)))."""
+
+    @pytest.mark.parametrize("spec", ["corona(path(24))", "corona(cycle(16))", "corona(path(40))"])
+    def test_every_query_closes_at_the_root(self, spec):
+        g = generate_family(parse_family_spec(spec))
+        gamma = g.n // 2
+        base, pendant = 0, g.n - 1  # the pendant of vertex i is n + i
+        for query in ({}, {"conflict": g.nbr}, {"target": gamma - 1},
+                      {"drop": 1 << base}, {"drop": 1 << pendant}, {"include": 1 << 1}):
+            size = within_nodes(_solve, 2, lambda: _solve(g.closed, g.n, **query))[0]
+            assert size == (gamma - 1 if query.get("drop") == 1 << pendant else gamma)
+
 
 class TestDecisions:
     """With a target t the kernel answers whether a dominating set of at
@@ -505,9 +553,11 @@ class TestRelation:
 
     # beyond brute force; rook(5) has 2 * 5^5 - 5! = 6,130 minimum sets, and
     # rook(7)'s relation search makes 82,608 nodes
-    @pytest.mark.parametrize("spec", [
+    BEYOND_BRUTE_FORCE = [
         "rook(4)", "rook(5)", "corona(path(8))", "generalized_petersen(10,3)",
-        "complete_bipartite(6,8)", "rook(7)"])
+        "complete_bipartite(6,8)", "rook(7)"]
+
+    @pytest.mark.parametrize("spec", BEYOND_BRUTE_FORCE)
     def test_matches_include_pair_solves(self, spec, route):
         g = generate_family(parse_family_spec(spec))
         gamma = domination_number(g)
@@ -522,27 +572,19 @@ class TestRelation:
         for u, v in combinations_with_replacement(range(g.n), 2):
             assert shares_minimum_set(g, u, v) == shares_minimum_set(g, v, u) == shares(u, v)
 
+    # the state memo only caches subtrees: emptied whenever it holds 16
+    # states, it costs time (rook(7): 12,102 states unbounded) but no row
+    @pytest.mark.parametrize("spec", BEYOND_BRUTE_FORCE)
+    def test_bounded_state_memo_keeps_every_row(self, spec, route, monkeypatch):
+        monkeypatch.setattr(domination, "_RELATION_STATES", 16)
+        self.test_matches_include_pair_solves(spec, route)
+
     # 2^20 and 3^12 minimum sets, but branches that dominate the same
     # vertices meet again: 39 and 94 nodes, under two per vertex and edge
     @pytest.mark.parametrize("g, k", [(corona(edgeless(20)), 20), (triangle_chain(12), 12)])
     def test_many_minimum_sets_few_states(self, g, k):
         clear_caches()
-        rec = next(c for c in _relation.__wrapped__.__code__.co_consts
-                   if getattr(c, "co_name", None) == "rec")
-        nodes, limit = 0, 2 * (g.n + g.edge_count)
-
-        def count(frame, event, arg):
-            nonlocal nodes
-            if event == "call" and frame.f_code is rec:
-                nodes += 1
-                if nodes > limit:
-                    raise RuntimeError(f"more than {limit} relation search nodes")
-
-        sys.setprofile(count)
-        try:
-            rel = _relation(g)
-        finally:
-            sys.setprofile(None)
+        rel = within_nodes(_relation.__wrapped__, 2 * (g.n + g.edge_count), lambda: _relation(g))
         # one vertex per pendant pair or triangle, chosen freely
         for x, y in product(range(g.n), repeat=2):
             assert (rel[x] >> y & 1) == (x == y or x % k != y % k)
