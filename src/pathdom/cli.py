@@ -3,7 +3,8 @@
 Subcommands: gamma, classify, pa, profile, regions, verify, gen.
 Graph input is graph6 or an edge list ("-" reads standard input; the
 format is auto-detected unless --format says otherwise).  Exit status:
-0 success, 1 counterexample or assertion failure, 2 usage/input error.
+0 success, 1 counterexample or assertion failure, 2 usage/input error or
+a search deeper than Python's recursion limit.
 
 Each single-graph command is one row of GRAPH_COMMANDS: its answer for a
 graph is exactly what --json prints, and its text view is rendered from
@@ -305,6 +306,10 @@ def main(argv=None) -> int:
         return args.run(args)
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a search one level per vertex, on a long graph
+        print(f"error: the search went deeper than Python's recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
 
 

@@ -19,9 +19,11 @@ misses the count that closes the node.
 A node with room for one more vertex only (the incumbent is two above
 its size) is settled without branching: the vertices that complete the
 set are the common candidate dominators of its undominated vertices, and
-the lowest of them is the child the search would reach first.  The
-greedy pick stops at the first vertex whose coverage reaches the most
-any vertex could cover, since no later one can strictly beat it.
+the lowest of them is the child the search would reach first.  This node
+rule is written once, as ``_branch_vertex`` (both bounds and the branch
+vertex) and ``_completions``, and both searches here run it.  The greedy
+pick stops at the first vertex whose coverage reaches the most any vertex
+could cover, since no later one can strictly beat it.
 Results are exact and deterministic, including the witness sets.  With
 the branching order fixed, the recorded set is the
 first in search order that beats the greedy size, then the first after
@@ -55,20 +57,19 @@ union of the minimum dominating sets that contain x.  It searches the
 dominating sets of size gamma with the kernel's branching, which reaches
 each of them once: a set is reached only through the first candidate of
 the branch vertex that it contains, since the earlier candidates are
-ruled out for the rest of that branch.  The coverage and packing bounds
-prune against the fixed target gamma, and the last vertex is taken in
-one batch, as all common candidate dominators of the still-undominated
-vertices.  What a node finds below depends only on its undominated
-vertices, the allowed vertices that still dominate one of them, and its
-room, so each such state is searched once: branches that dominate the
-same vertices meet again, and a graph of k disjoint pendant pairs takes
-about 2k nodes for its 2^k minimum sets.  Sharing a set is symmetric, so
-each row is then completed from the others.  The state memo lives as long
-as one search and is freed when it returns; it holds at most
-``_RELATION_STATES`` states and is emptied when full, which costs time but
-no answer, since it only caches subtrees.  It is a function of its own
-rather than a mode of ``_solve``: it differs at the target, the returned
-union and the state memo, and each would be a branch in the kernel.
+ruled out for the rest of that branch.  Its nodes run the kernel's node
+rule, narrow-first packing included, against the fixed target gamma, and
+its completion step takes every last vertex at once.  What a node finds
+below depends only on its undominated vertices, the allowed vertices that
+still dominate one of them, and its room, so each such state is searched
+once, cut or not: branches that dominate the same vertices meet again, and
+a graph of k disjoint pendant pairs takes about 2k nodes for its 2^k
+minimum sets.  Sharing a set is symmetric, so each row is then completed
+from the others.  The state memo lives as long as one search; it holds at
+most ``_RELATION_STATES`` states and is emptied when full, which costs
+time but no answer, since it only caches subtrees.  The search is not a
+mode of ``_solve``: its target, returned union and state memo would each
+be a branch in the kernel.
 ``shares_minimum_set``, ``all_minimum_sets_cliques``, ``good`` and
 ``strong_equality`` all read its rows.
 
@@ -153,6 +154,53 @@ class _Found(Exception):
     """A decision search recorded a set of at most its target vertices."""
 
 
+def _completions(closed: tuple[int, ...], undom: int, allowed: int) -> int:
+    """The allowed vertices that complete the set alone: the common
+    candidate dominators of the undominated vertices."""
+    cand = allowed
+    m = undom  # both searches call these on every node, so loops are inlined
+    while m and cand:
+        b = m & -m
+        cand &= closed[b.bit_length() - 1]
+        m ^= b
+    return cand
+
+
+def _branch_vertex(closed: tuple[int, ...], narrow: int, undom: int, allowed: int,
+                   more: int) -> int:
+    """The vertex to branch on (undominated, fewest candidate dominators,
+    lowest label on ties), or -1 when a bound shows that ``more`` further
+    vertices, the most a node may still add, cannot dominate ``undom``."""
+    # coverage bound: one of them must cover |undom| / more
+    total = undom.bit_count()
+    for c, row in enumerate(closed):
+        if (row & undom).bit_count() * more >= total and allowed >> c & 1:
+            break
+    else:
+        return -1
+    # the same pass counts undominated vertices whose candidate sets are
+    # disjoint from those counted before (a packing bound): each needs its
+    # own vertex.  The narrow ones go first, before a wider vertex can use up
+    # their candidates
+    w, wcount = -1, len(closed) + 1
+    packed, used = 0, 0
+    for m in (undom & narrow, undom & ~narrow):
+        while m:
+            b = m & -m
+            x = b.bit_length() - 1
+            cand = closed[x] & allowed
+            if not cand & used:
+                packed += 1
+                if packed > more:
+                    return -1
+                used |= cand
+            cnt = cand.bit_count()
+            if cnt < wcount or cnt == wcount and x < w:
+                w, wcount = x, cnt
+            m ^= b
+    return w
+
+
 def _solve(
     closed: tuple[int, ...],
     n: int,
@@ -227,52 +275,20 @@ def _solve(
                 if target is not None:
                     raise _Found
             return
-        room = best[0] - size
-        if room <= 1:  # no vertex can be added and still improve
+        more = best[0] - size - 1  # vertices that may still be added and improve
+        if more <= 0:
             return
-        if room == 2:
-            # only a single vertex completing the set improves: the common
-            # dominators of undom; the lowest is DFS's first completing child
-            cand = allowed
-            m = undom
-            while m and cand:
-                b = m & -m
-                cand &= closed[b.bit_length() - 1]
-                m ^= b
+        if more == 1:
+            # the lowest completing vertex is DFS's first completing child
+            cand = _completions(closed, undom, allowed)
             if cand:
                 best[0], best[1] = size + 1, mask | (cand & -cand)
                 if target is not None:
                     raise _Found
             return
-        # coverage bound: at most room - 1 more vertices can be added and
-        # still improve, so one of them must cover |undom| / (room - 1)
-        total, more = undom.bit_count(), room - 1
-        for c, row in enumerate(closed):
-            if (row & undom).bit_count() * more >= total and allowed >> c & 1:
-                break
-        else:
+        w = _branch_vertex(closed, narrow, undom, allowed, more)
+        if w < 0:
             return
-        # branch vertex: undominated with fewest candidate dominators, lowest
-        # label on ties.  The same pass counts undominated vertices whose
-        # candidate sets are disjoint from those counted before (a packing
-        # bound): each needs its own new vertex.  The narrow ones go first,
-        # before a wider vertex can use up their candidates
-        w, wcount = -1, n + 1
-        packed, used = 0, 0
-        for m in (undom & narrow, undom & ~narrow):
-            while m:
-                b = m & -m
-                x = b.bit_length() - 1
-                cand = closed[x] & allowed
-                if not cand & used:
-                    packed += 1
-                    if packed >= room:
-                        return
-                    used |= cand
-                cnt = cand.bit_count()
-                if cnt < wcount or cnt == wcount and x < w:
-                    w, wcount = x, cnt
-                m ^= b
         rem = allowed
         m = closed[w] & allowed
         while m:
@@ -326,7 +342,7 @@ class _Memo(dict):
 _search = _Memo()
 
 # the relation search's state memo only caches subtrees, so emptying it
-# when full keeps every row exact; rook(8) fills 108,632 states unbounded
+# when full keeps every row exact; rook(8) fills 124,420 states unbounded
 _RELATION_STATES = 1 << 16
 
 
@@ -337,6 +353,7 @@ def _relation(g: Graph) -> tuple[int, ...]:
     closed, n = g.closed, g.n
     gamma = _search[g, 0, 0, False][0]
     full = (1 << n) - 1
+    narrow = mask_of(x for x, row in enumerate(closed) if row.bit_count() <= 2)
     rel = [0] * n
     last = 0  # every vertex that completes some minimum set
     seen: dict[tuple[int, int, int], int] = {}
@@ -348,60 +365,37 @@ def _relation(g: Graph) -> tuple[int, ...]:
         nonlocal last
         undom = full & ~dominated
         if room == 1:
-            # the last vertex is any common candidate dominator of undom
-            cand = allowed
-            m = undom
-            while m and cand:
-                b = m & -m
-                cand &= closed[b.bit_length() - 1]
-                m ^= b
+            cand = _completions(closed, undom, allowed)
             last |= cand
             return cand
-        total = undom.bit_count()
-        for c, row in enumerate(closed):
-            if (row & undom).bit_count() * room >= total and allowed >> c & 1:
-                break
-        else:
-            return 0
-        # the packing pass also collects reach, the allowed vertices that
-        # still dominate something: no other one is in a set found below,
-        # or dropping it would leave a dominating set smaller than gamma
-        w, wcount = -1, n + 1
-        packed, used, reach = 0, 0, 0
+        # what is found below depends on undom, room and reach alone: an
+        # allowed vertex outside reach dominates nothing in undom, so it is
+        # in no set found below (dropping it would leave one under gamma)
+        reach = 0
         m = undom
         while m:
             b = m & -m
-            x = b.bit_length() - 1
-            cand = closed[x] & allowed
-            reach |= cand
-            if not cand & used:
-                packed += 1
-                if packed > room:
-                    return 0
-                used |= cand
-            cnt = cand.bit_count()
-            if cnt < wcount:
-                w, wcount = x, cnt
+            reach |= closed[b.bit_length() - 1]
             m ^= b
-        # what is found below depends on these three alone, and branches
-        # that dominate the same vertices meet here again
-        key = (undom, reach, room)
+        key = (undom, reach & allowed, room)
         found = seen.get(key)
         if found is not None:
             return found
         found = 0
-        rem = allowed
-        m = closed[w] & allowed
-        while m:
-            cbit = m & -m
-            c = cbit.bit_length() - 1
-            rem &= ~cbit
-            sub = rec(dominated | closed[c], rem, room - 1)
-            if sub:
-                sub |= cbit
-                rel[c] |= sub
-                found |= sub
-            m ^= cbit
+        w = _branch_vertex(closed, narrow, undom, allowed, room)
+        if w >= 0:
+            rem = allowed
+            m = closed[w] & allowed
+            while m:
+                cbit = m & -m
+                c = cbit.bit_length() - 1
+                rem &= ~cbit
+                sub = rec(dominated | closed[c], rem, room - 1)
+                if sub:
+                    sub |= cbit
+                    rel[c] |= sub
+                    found |= sub
+                m ^= cbit
         if len(seen) >= _RELATION_STATES:
             seen.clear()
         seen[key] = found

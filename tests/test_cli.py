@@ -7,7 +7,7 @@ import pytest
 
 from pathdom import cli, verify
 from pathdom.cli import main
-from pathdom.families import rook
+from pathdom.families import cartesian_product, path, rook
 from pathdom.formats import emit_graph6
 
 
@@ -95,6 +95,15 @@ class TestSingleGraphCommands:
     def test_bad_input_is_exit_2(self, capsys, monkeypatch):
         assert run_cli(["gamma"], "this is not a graph\n", monkeypatch) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_too_deep_a_search_is_exit_2(self, capsys, monkeypatch):
+        # the 2 x 1500 ladder: a branch-and-bound search far deeper than the
+        # recursion limit, which fails in about a second
+        ladder = emit_graph6(cartesian_product(path(2), path(1500)))
+        assert run_cli(["gamma"], ladder + "\n", monkeypatch) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the search went deeper than Python's recursion limit")
+        assert "Traceback" not in err
 
 
 class TestGen:

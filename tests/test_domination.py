@@ -360,6 +360,27 @@ class TestNoGarbage:
         clear_caches()
 
 
+# three seeded 10-vertex graphs, sparse families on which the packing bound
+# and the early scan exits fire on most nodes, and pendant-rich graphs, on
+# which the packing that starts with the vertices with at most two
+# candidates comes out ahead of the label-order one.  The sparse random
+# graph has leaves where the greedy cover is not minimum, so a cut of that
+# packing made too early changes a witness there
+PATH_ADDITION_SOURCES = [
+    1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
+    "corona(path(4))", "corona(cycle(4))", "star(6)",
+    pytest.param((0.15, 10), id="sparse-10")]
+
+
+def source_graph(source) -> Graph:
+    """A family spec, a seed of a random_graph(10, 0.3), or (p, seed) of
+    a random_graph(10, p)."""
+    if isinstance(source, str):
+        return generate_family(parse_family_spec(source))
+    p, seed = source if isinstance(source, tuple) else (0.3, source)
+    return random_graph(10, p, random.Random(seed))
+
+
 class TestKernelMatchesReference:
     """The kernel returns the reference search's size and witness mask
     exactly: its shortcuts only cut nodes that cannot beat the incumbent,
@@ -377,22 +398,9 @@ class TestKernelMatchesReference:
                 reference_solve(g.closed, g.n, include, drop, conflict)
             )
 
-    # three seeded 10-vertex graphs, sparse families on which the packing
-    # bound and the early scan exits fire on most nodes, and pendant-rich
-    # graphs, on which the packing that starts with the vertices with at
-    # most two candidates comes out ahead of the label-order one.  The
-    # sparse random graph has leaves where the greedy cover is not minimum,
-    # so a cut of that packing made too early changes a witness there
-    @pytest.mark.parametrize("source", [
-        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
-        "corona(path(4))", "corona(cycle(4))", "star(6)",
-        pytest.param((0.15, 10), id="sparse-10")])
+    @pytest.mark.parametrize("source", PATH_ADDITION_SOURCES)
     def test_every_path_addition(self, source):
-        if isinstance(source, str):
-            g = generate_family(parse_family_spec(source))
-        else:
-            p, seed = source if isinstance(source, tuple) else (0.3, source)
-            g = random_graph(10, p, random.Random(seed))
+        g = source_graph(source)
         for u, v in combinations(range(g.n), 2):
             for k in range(1, 6):
                 h = add_path(g, u, v, k)
@@ -497,17 +505,9 @@ class TestDecisions:
             assert domination_number_at_most(g, t) == (gamma <= t)
         clear_caches()
 
-    # the sources of TestKernelMatchesReference.test_every_path_addition
-    @pytest.mark.parametrize("source", [
-        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
-        "corona(path(4))", "corona(cycle(4))", "star(6)",
-        pytest.param((0.15, 10), id="sparse-10")])
+    @pytest.mark.parametrize("source", PATH_ADDITION_SOURCES)
     def test_path_addition_number_matches_exact_scan(self, source):
-        if isinstance(source, str):
-            g = generate_family(parse_family_spec(source))
-        else:
-            p, seed = source if isinstance(source, tuple) else (0.3, source)
-            g = random_graph(10, p, random.Random(seed))
+        g = source_graph(source)
         gamma = domination_number(g)
         for u, v in combinations(range(g.n), 2):
             clear_caches()
@@ -516,13 +516,25 @@ class TestDecisions:
             assert path_addition_number(g, u, v) == scan
         clear_caches()
 
-
-@pytest.fixture(params=["search"])
-def route(request):
-    """The route to shared-set answers, the relation search, on empty caches."""
-    clear_caches()
-    yield request.param
-    clear_caches()
+    # a decision keeps its bounds under (graph, include, drop), never in the
+    # exact answer's place, so an exact witness asked after the path
+    # addition scan and after decisions on either side of gamma is the
+    # reference search's witness
+    @pytest.mark.parametrize("source", PATH_ADDITION_SOURCES[::3])
+    def test_witnesses_survive_earlier_decisions(self, source):
+        g = source_graph(source)
+        clear_caches()
+        pairs = list(combinations(range(g.n), 2))
+        for u, v in pairs:
+            path_addition_number(g, u, v)
+        for u, v in pairs:
+            for k in range(1, 6):
+                h = add_path(g, u, v, k)
+                size, mask = reference_solve(h.closed, h.n)
+                for t in (size + 1, size, size - 1):
+                    assert domination_number_at_most(h, t) == (t >= size)
+                assert minimum_dominating_set(h) == set_of(mask)
+        clear_caches()
 
 
 def triangle_chain(k: int) -> Graph:
@@ -539,7 +551,8 @@ class TestRelation:
     enumerated minimum sets where those are in reach, and with one
     include-pair solve per pair beyond them."""
 
-    def test_atlas_matches_enumerated_sets(self, route):
+    def test_atlas_matches_enumerated_sets(self):
+        clear_caches()
         for h in nx.graph_atlas_g():  # every graph on at most 7 vertices
             g = Graph(h.number_of_nodes(), list(h.edges()))
             sets = _brute_minimum_sets(g)
@@ -558,7 +571,8 @@ class TestRelation:
         "complete_bipartite(6,8)", "rook(7)"]
 
     @pytest.mark.parametrize("spec", BEYOND_BRUTE_FORCE)
-    def test_matches_include_pair_solves(self, spec, route):
+    def test_matches_include_pair_solves(self, spec):
+        clear_caches()
         g = generate_family(parse_family_spec(spec))
         gamma = domination_number(g)
 
@@ -571,13 +585,14 @@ class TestRelation:
         assert all_minimum_sets_cliques(g) == (not any(shares(u, v) for u, v in g.non_edges()))
         for u, v in combinations_with_replacement(range(g.n), 2):
             assert shares_minimum_set(g, u, v) == shares_minimum_set(g, v, u) == shares(u, v)
+        clear_caches()
 
     # the state memo only caches subtrees: emptied whenever it holds 16
-    # states, it costs time (rook(7): 12,102 states unbounded) but no row
+    # states, it costs time (rook(7): 13,570 states unbounded) but no row
     @pytest.mark.parametrize("spec", BEYOND_BRUTE_FORCE)
-    def test_bounded_state_memo_keeps_every_row(self, spec, route, monkeypatch):
+    def test_bounded_state_memo_keeps_every_row(self, spec, monkeypatch):
         monkeypatch.setattr(domination, "_RELATION_STATES", 16)
-        self.test_matches_include_pair_solves(spec, route)
+        self.test_matches_include_pair_solves(spec)
 
     # 2^20 and 3^12 minimum sets, but branches that dominate the same
     # vertices meet again: 39 and 94 nodes, under two per vertex and edge
