@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # a search one level per vertex, on a long graph
+    except RecursionError:  # the kernel recurses once per vertex it adds to a set
         print(f"error: the search went deeper than Python's recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2

@@ -360,27 +360,6 @@ class TestNoGarbage:
         clear_caches()
 
 
-# three seeded 10-vertex graphs, sparse families on which the packing bound
-# and the early scan exits fire on most nodes, and pendant-rich graphs, on
-# which the packing that starts with the vertices with at most two
-# candidates comes out ahead of the label-order one.  The sparse random
-# graph has leaves where the greedy cover is not minimum, so a cut of that
-# packing made too early changes a witness there
-PATH_ADDITION_SOURCES = [
-    1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
-    "corona(path(4))", "corona(cycle(4))", "star(6)",
-    pytest.param((0.15, 10), id="sparse-10")]
-
-
-def source_graph(source) -> Graph:
-    """A family spec, a seed of a random_graph(10, 0.3), or (p, seed) of
-    a random_graph(10, p)."""
-    if isinstance(source, str):
-        return generate_family(parse_family_spec(source))
-    p, seed = source if isinstance(source, tuple) else (0.3, source)
-    return random_graph(10, p, random.Random(seed))
-
-
 class TestKernelMatchesReference:
     """The kernel returns the reference search's size and witness mask
     exactly: its shortcuts only cut nodes that cannot beat the incumbent,
@@ -398,9 +377,22 @@ class TestKernelMatchesReference:
                 reference_solve(g.closed, g.n, include, drop, conflict)
             )
 
-    @pytest.mark.parametrize("source", PATH_ADDITION_SOURCES)
+    # three seeded 10-vertex graphs, sparse families on which the packing
+    # bound and the early scan exits fire on most nodes, and pendant-rich
+    # graphs, on which the packing that starts with the vertices with at
+    # most two candidates comes out ahead of the label-order one.  The
+    # sparse random graph has leaves where the greedy cover is not minimum,
+    # so a cut of that packing made too early changes a witness there
+    @pytest.mark.parametrize("source", [
+        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
+        "corona(path(4))", "corona(cycle(4))", "star(6)",
+        pytest.param((0.15, 10), id="sparse-10")])
     def test_every_path_addition(self, source):
-        g = source_graph(source)
+        if isinstance(source, str):
+            g = generate_family(parse_family_spec(source))
+        else:
+            p, seed = source if isinstance(source, tuple) else (0.3, source)
+            g = random_graph(10, p, random.Random(seed))
         for u, v in combinations(range(g.n), 2):
             for k in range(1, 6):
                 h = add_path(g, u, v, k)
@@ -505,9 +497,17 @@ class TestDecisions:
             assert domination_number_at_most(g, t) == (gamma <= t)
         clear_caches()
 
-    @pytest.mark.parametrize("source", PATH_ADDITION_SOURCES)
+    # the sources of TestKernelMatchesReference.test_every_path_addition
+    @pytest.mark.parametrize("source", [
+        1, 2, 3, "cycle(12)", "path(10)", "cartesian_product(path(3),path(4))",
+        "corona(path(4))", "corona(cycle(4))", "star(6)",
+        pytest.param((0.15, 10), id="sparse-10")])
     def test_path_addition_number_matches_exact_scan(self, source):
-        g = source_graph(source)
+        if isinstance(source, str):
+            g = generate_family(parse_family_spec(source))
+        else:
+            p, seed = source if isinstance(source, tuple) else (0.3, source)
+            g = random_graph(10, p, random.Random(seed))
         gamma = domination_number(g)
         for u, v in combinations(range(g.n), 2):
             clear_caches()
@@ -519,10 +519,11 @@ class TestDecisions:
     # a decision keeps its bounds under (graph, include, drop), never in the
     # exact answer's place, so an exact witness asked after the path
     # addition scan and after decisions on either side of gamma is the
-    # reference search's witness
-    @pytest.mark.parametrize("source", PATH_ADDITION_SOURCES[::3])
-    def test_witnesses_survive_earlier_decisions(self, source):
-        g = source_graph(source)
+    # reference search's witness; graphs from test_every_path_addition
+    @pytest.mark.parametrize("g", [
+        random_graph(10, 0.3, random.Random(1)), random_graph(10, 0.15, random.Random(10)),
+        cycle(12), corona(path(4))], ids=["1", "sparse-10", "cycle(12)", "corona(path(4))"])
+    def test_witnesses_survive_earlier_decisions(self, g):
         clear_caches()
         pairs = list(combinations(range(g.n), 2))
         for u, v in pairs:
