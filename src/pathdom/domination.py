@@ -73,15 +73,15 @@ be a branch in the kernel.
 ``shares_minimum_set``, ``all_minimum_sets_cliques``, ``good`` and
 ``strong_equality`` all read its rows.
 
-Every kernel answer, exact or decision, is memoised once, in ``_search``;
-every relation in ``_relation``; and every report of ``classify_vertices``
-in ``_classify``.  An exact hit is one dict lookup.  A decision first reads
-the exact answer to its query (graph, forced and deleted vertices), if one
-is held, then the bounds that earlier decisions proved on that same query,
-and searches only when neither settles it.  The three caches are private,
-so a tracer that rebinds the public functions leaves them to
-``clear_caches``, and ``CACHE_SIZE`` bounds each.  ``clear_caches`` also
-empties ``path_addition``'s memo of path-added graphs.
+Every exact kernel answer, a (size, witness) pair, is memoised once, in
+``_search``; every relation in ``_relation``; and every report of
+``classify_vertices`` in ``_classify``.  An exact hit is one dict lookup.  A
+decision reads the exact answer to its query (graph, forced and deleted
+vertices) if one is held, and otherwise searches; its verdict is not
+stored, since a repeated decision is rare and its search cheap.  The three
+caches are private, so a tracer that rebinds the public functions leaves
+them to ``clear_caches``, and ``CACHE_SIZE`` bounds each.  ``clear_caches``
+also empties ``path_addition``'s memo of path-added graphs.
 """
 
 from functools import lru_cache
@@ -317,26 +317,21 @@ CACHE_SIZE = 1 << 13
 
 
 class _Memo(dict):
-    """Every kernel answer, at most ``CACHE_SIZE`` of them; the oldest go first.
-
-    ``_search[g, include, drop, independent]`` is the exact (size, mask),
-    solved on a miss.  Under the key ``(g, include, drop)`` a decision keeps
-    the bounds (lo, hi) it has proven on the least size of such a set.
+    """Every exact kernel answer, at most ``CACHE_SIZE`` of them; the oldest
+    go first.  ``_search[g, include, drop, independent]`` is the exact
+    (size, mask), solved on a miss.
     """
 
     def __missing__(self, key: tuple[Graph, int, int, bool]) -> tuple[int, int]:
         g, include, drop, independent = key
         answer = _solve(g.closed, g.n, include, drop, g.nbr if independent else None)
-        self.add(key, answer)
-        return answer
-
-    def add(self, key, value) -> None:
         if len(self) >= CACHE_SIZE:
             # the older half goes at once: removing the oldest one entry at
             # a time rescans the removed slots at the front of the table
             for old in list(self)[:CACHE_SIZE // 2]:
                 del self[old]
-        self[key] = value
+        self[key] = answer
+        return answer
 
 
 _search = _Memo()
@@ -355,19 +350,15 @@ def _relation(g: Graph) -> tuple[int, ...]:
     full = (1 << n) - 1
     narrow = mask_of(x for x, row in enumerate(closed) if row.bit_count() <= 2)
     rel = [0] * n
-    last = 0  # every vertex that completes some minimum set
     seen: dict[tuple[int, int, int], int] = {}
 
     def rec(dominated: int, allowed: int, room: int) -> int:
         # returns the union of the vertices added below in the sets found;
         # the caller charges it to the vertex it added.  A node short of
         # gamma never dominates: nothing smaller than gamma does
-        nonlocal last
         undom = full & ~dominated
         if room == 1:
-            cand = _completions(closed, undom, allowed)
-            last |= cand
-            return cand
+            return _completions(closed, undom, allowed)
         # what is found below depends on undom, room and reach alone: an
         # allowed vertex outside reach dominates nothing in undom, so it is
         # in no set found below (dropping it would leave one under gamma)
@@ -401,12 +392,11 @@ def _relation(g: Graph) -> tuple[int, ...]:
         seen[key] = found
         return found
 
-    if n:
-        rec(0, full, gamma)
+    union = rec(0, full, gamma) if n else 0  # every vertex of a minimum set
     del rec  # as in _solve: break the closure's cycle through itself
     # each row so far holds only what was added below its vertex: the rest
-    # is filled by symmetry, and a last vertex's own bit from ``last``
-    for x in bits(last):
+    # is filled by symmetry, and each good vertex's own bit from the union
+    for x in bits(union):
         rel[x] |= 1 << x
     for x in range(n):
         xbit = 1 << x
@@ -426,9 +416,9 @@ def domination_number_at_most(
     vertices that contains ``include`` (labels as in
     ``constrained_domination_number``).
 
-    An exact answer already held decides it; otherwise the bounds that
-    earlier decisions proved on the same query may, and a search that
-    stops at the first set of at most t vertices does the rest.
+    An exact answer already held decides it; otherwise a search that stops
+    at the first set of at most t vertices does, and its verdict is not
+    stored.
     """
     inc, drop = _query_masks(g, include, delete)
     return _at_most(g, t, inc, drop)
@@ -439,15 +429,7 @@ def _at_most(g: Graph, t: int, inc: int, drop: int) -> bool:
     exact = _search.get((g, inc, drop, False))
     if exact is not None:
         return exact[0] <= t
-    key = (g, inc, drop)
-    lo, hi = _search.get(key, (0, g.n))
-    if hi <= t:
-        return True
-    if lo > t:
-        return False
-    size = _solve(g.closed, g.n, inc, drop, target=t)[0]
-    _search.add(key, (lo, size) if size <= t else (t + 1, hi))
-    return size <= t
+    return _solve(g.closed, g.n, inc, drop, target=t)[0] <= t
 
 
 def minimum_dominating_set(g: Graph) -> frozenset[int]:

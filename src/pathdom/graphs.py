@@ -161,6 +161,8 @@ class Graph:
 
 def from_edge_mask(n: int, mask: int) -> Graph:
     """Graph on n vertices whose edge set is given by a colex-indexed bitmask."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     npairs = n * (n - 1) // 2
     if mask < 0 or mask >> npairs:
         raise ValueError(f"edge mask out of range for n={n}")

@@ -152,8 +152,13 @@ def _entries(spec: CorpusSpec):
     malformed file entry's GraphFormatError, ``line`` a graph6 file entry's
     line number (else None); indices count malformed entries too."""
     if spec.mode == "exhaustive":
+        # fail before the first graph, not after grinding through smaller n
+        if not 0 <= spec.n_min <= spec.n_max:
+            raise ValueError(
+                f"exhaustive corpora need 0 <= n_min <= n_max, "
+                f"got n_min={spec.n_min}, n_max={spec.n_max}"
+            )
         if spec.n_max > _EXHAUSTIVE_MAX_N:
-            # fail before the first graph, not after grinding through smaller n
             raise ValueError(
                 f"exhaustive corpora stop at n={_EXHAUSTIVE_MAX_N}, got n={spec.n_max}; "
                 f"verify larger n through a file corpus (--mode file), such as "
@@ -540,22 +545,20 @@ class VerificationReport(NamedTuple):
     timing: dict
     timestamp: str
 
-    def to_json_dict(self, include_volatile: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema": SCHEMA,
             "config": self.config,
             "suites": self.suite_stats,
             "counterexamples": self.counterexamples,
             "input_errors": self.input_errors,
             "pass": self.passed,
+            "timing": self.timing,
+            "timestamp": self.timestamp,
         }
-        if include_volatile:
-            d["timing"] = self.timing
-            d["timestamp"] = self.timestamp
-        return d
 
-    def to_json(self, include_volatile: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_volatile), indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def table(self) -> str:
         lines = []
@@ -567,6 +570,9 @@ class VerificationReport(NamedTuple):
                 f"{name:<30} {st['graphs']:>8} {st['checks']:>10} {st['failures']:>9}"
             )
         for ce in self.counterexamples[:10]:
+            g6 = ce.get("graph6", "")
+            if len(g6) > 80:  # the JSON report keeps it whole
+                ce = {**ce, "graph6": f"{g6[:40]}... ({len(g6)} characters)"}
             lines.append(f"  counterexample: {_compact(ce)}")
         if len(self.counterexamples) > 10:
             lines.append(f"  ... and {len(self.counterexamples) - 10} more")

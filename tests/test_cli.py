@@ -221,6 +221,7 @@ class TestVerify:
         "argv, env, named",
         [(["--n=-1"], "", "--n"),
          (["--n", "3-"], "", "--n"),
+         (["--n", "5-3"], "", "0 <= n_min <= n_max, got n_min=5, n_max=3"),
          (["--n", "4", "--max-counterexamples", "-1"], "", "--max-counterexamples"),
          (["--n", "2"], "abc", "PATHDOM_WORKERS")],
     )

@@ -449,8 +449,8 @@ class TestCoronas:
 class TestDecisions:
     """With a target t the kernel answers whether a dominating set of at
     most t vertices exists, and stops at the first one it finds;
-    ``domination_number_at_most`` memoises the answer, and the path
-    addition scan asks it of every G_{u,v,k}."""
+    ``domination_number_at_most`` reads a held exact answer before it
+    searches, and the path addition scan asks it of every G_{u,v,k}."""
 
     @settings(max_examples=300, deadline=None)
     @given(graphs(min_n=1, max_n=9), st.data())
@@ -487,7 +487,7 @@ class TestDecisions:
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=0, max_n=8), st.data())
     def test_memoised_bounds_in_any_order(self, g, data):
-        # each decision leaves bounds that the later ones may read
+        # decisions in any order, before and after the exact answer is held
         gamma = reference_solve(g.closed, g.n)[0]
         clear_caches()
         for t in data.draw(st.permutations(range(gamma - 2, gamma + 2))):
@@ -516,10 +516,10 @@ class TestDecisions:
             assert path_addition_number(g, u, v) == scan
         clear_caches()
 
-    # a decision keeps its bounds under (graph, include, drop), never in the
-    # exact answer's place, so an exact witness asked after the path
-    # addition scan and after decisions on either side of gamma is the
-    # reference search's witness; graphs from test_every_path_addition
+    # a decision stores nothing, so nothing takes the exact answer's place:
+    # an exact witness asked after the path addition scan and after
+    # decisions on either side of gamma is the reference search's witness;
+    # graphs from test_every_path_addition
     @pytest.mark.parametrize("g", [
         random_graph(10, 0.3, random.Random(1)), random_graph(10, 0.15, random.Random(10)),
         cycle(12), corona(path(4))], ids=["1", "sparse-10", "cycle(12)", "corona(path(4))"])
@@ -619,9 +619,10 @@ class TestRelation:
 
 
 class TestMemo:
-    """Every kernel answer, exact or decision, lives in one bounded memo,
-    ``_search``; every graph's minimum-set relation in ``_relation``; and
-    ``classify_vertices`` reads the only other cache, ``_classify``."""
+    """Every exact kernel answer lives in one bounded memo, ``_search``, and
+    decisions store nothing; every graph's minimum-set relation lives in
+    ``_relation``; and ``classify_vertices`` reads the only other cache,
+    ``_classify``."""
 
     def test_one_query_is_one_entry(self):
         clear_caches()
@@ -629,11 +630,21 @@ class TestMemo:
         assert domination_number(g) == constrained_domination_number(g) == 3
         assert len(_search) == 1
         clear_caches()
+
+    def test_decisions_store_nothing(self, kernel_solves):
+        g = cycle(7)
         assert domination_number_at_most(g, 3) and not domination_number_at_most(g, 2)
-        assert len(_search) == 1
-        # a constrained decision keeps its bounds under its own query
         assert domination_number_at_most(g, 2, delete=[0])
-        assert len(_search) == 2 and (g, 0, 1) in _search
+        assert len(_search) == 0 and len(kernel_solves) == 3
+        # so a repeated decision searches again
+        assert domination_number_at_most(g, 2, delete=[0])
+        assert len(_search) == 0 and len(kernel_solves) == 4
+        # but an exact answer to the same query settles it without a search
+        assert constrained_domination_number(g, delete=[0]) == 2
+        assert len(kernel_solves) == 5 and list(_search) == [(g, 0, 1, False)]
+        assert domination_number_at_most(g, 2, delete=[0])
+        assert not domination_number_at_most(g, 1, delete=[0])
+        assert len(kernel_solves) == 5
 
     def test_bounds_are_kept_per_query(self):
         # gamma(C7 - 0) = 2 < gamma(C7) = 3 < 4, the least dominating set
@@ -669,8 +680,11 @@ class TestMemo:
             classify_vertices(g)
             add_path(g, 0, 1, 1)
         assert len(kernel_solves) > CACHE_SIZE >= len(_search)
-        # the critical flags' deletion decisions keep constrained bounds
-        assert any(len(key) == 3 and key[2] for key in _search)
+        # the critical flags' deletion decisions left nothing: every entry is
+        # an exact (size, witness) answer under (g, include, drop, independent)
+        for key, (size, mask) in _search.items():
+            assert len(key) == 4 and isinstance(key[0], Graph) and key[3] in (False, True)
+            assert mask.bit_count() == size
         for cached in (_relation, _classify, _add_path):
             info = cached.cache_info()
             assert info.maxsize == CACHE_SIZE

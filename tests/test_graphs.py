@@ -142,6 +142,12 @@ class TestEdgeMask:
         with pytest.raises(ValueError):
             from_edge_mask(3, 8)
 
+    @pytest.mark.parametrize("n, mask", [(-1, 0), (-2, 0), (-2, 2)])
+    def test_negative_vertex_count(self, n, mask):
+        # (-2)(-3)/2 = 3 pairs would otherwise admit masks below 8
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            from_edge_mask(n, mask)
+
 
 @given(graphs(max_n=6))
 def test_adjacency_invariants(g):

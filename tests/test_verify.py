@@ -11,11 +11,19 @@ from pathdom.graphs import Graph
 from pathdom.verify import (
     SUITES,
     CorpusSpec,
+    VerificationReport,
     iter_corpus,
     run_verification,
     suite_max_adjacent_2,
     suite_oracle_equivalence,
 )
+
+
+def stable_json(report) -> str:
+    """The JSON report without its volatile ``timing`` and ``timestamp``."""
+    d = report.to_json_dict()
+    del d["timing"], d["timestamp"]
+    return json.dumps(d, indent=2)
 
 
 class TestCorpus:
@@ -102,6 +110,18 @@ class TestCorpus:
         assert drawn == []
         assert list(iter_corpus(CorpusSpec.exhaustive(6, n_min=6))) == [] and drawn == [6]
 
+    @pytest.mark.parametrize("n_max, n_min", [(1, -2), (0, -1), (3, 5)])
+    def test_bad_range_fails_before_the_first_graph(self, monkeypatch, n_max, n_min):
+        drawn = []
+        monkeypatch.setattr(verify, "enumerate_labeled_graphs",
+                            lambda n, connected_only: drawn.append(n) or iter(()))
+        spec = CorpusSpec.exhaustive(n_max, n_min=n_min)
+        with pytest.raises(ValueError, match=f"got n_min={n_min}, n_max={n_max}"):
+            next(iter_corpus(spec))
+        with pytest.raises(ValueError, match="0 <= n_min <= n_max"):
+            run_verification(spec, ["chains"])
+        assert drawn == []
+
 
 class TestRunner:
     def test_small_run_passes(self):
@@ -121,8 +141,8 @@ class TestRunner:
 
     def test_json_deterministic_modulo_volatile(self):
         spec = CorpusSpec.random(5, 0.5, 5, seed=3)
-        a = run_verification(spec, ["chains"]).to_json(include_volatile=False)
-        b = run_verification(spec, ["chains"]).to_json(include_volatile=False)
+        a = stable_json(run_verification(spec, ["chains"]))
+        b = stable_json(run_verification(spec, ["chains"]))
         assert a == b
         full = json.loads(run_verification(spec, ["chains"]).to_json())
         assert "timestamp" in full and "timing" in full
@@ -223,6 +243,22 @@ class TestRunner:
             '  counterexample: {"check":"flag","holds":true,"set":[1,2],'
             '"suite":"chains","graph6":"@"}')
 
+    def test_table_shortens_a_long_graph6(self):
+        # a suite error on a large graph (a search past the recursion limit)
+        # names the graph: the table shows its start and length, the JSON all
+        g6, short = emit_graph6(path(300)), emit_graph6(path(4))
+        assert len(g6) > 80
+        failures = [{"check": "suite-error", "error": "RecursionError", "graph6": g6},
+                    {"check": "x", "graph6": short}]
+        report = VerificationReport(
+            config={"corpus": {"mode": "family"}}, suite_stats={}, counterexamples=failures,
+            input_errors=[], passed=False, timing={}, timestamp="")
+        lines = report.table().splitlines()
+        assert lines[2] == ('  counterexample: {"check":"suite-error","error":"RecursionError",'
+                            f'"graph6":"{g6[:40]}... ({len(g6)} characters)"}}')
+        assert lines[3] == f'  counterexample: {{"check":"x","graph6":"{short}"}}'
+        assert report.to_json_dict()["counterexamples"][0]["graph6"] == g6
+
     def test_suite_error_is_recorded_and_run_goes_on(self, monkeypatch):
         seen = []
 
@@ -248,13 +284,13 @@ class TestRunner:
         monkeypatch.setenv("PATHDOM_WORKERS", "2")
         par = run_verification(spec, ["oracle-equivalence", "chains"])
         assert seq.suite_stats == par.suite_stats
-        assert seq.to_json(include_volatile=False) == par.to_json(include_volatile=False)
+        assert stable_json(seq) == stable_json(par)
 
     def test_pool_is_fed_one_window_at_a_time(self, monkeypatch):
         window = 8
         spec = CorpusSpec.exhaustive(4)  # 76 graphs: ten windows
         suites = ["chains", "vertex-deletion"]
-        seq = run_verification(spec, suites).to_json(include_volatile=False)
+        seq = stable_json(run_verification(spec, suites))
         drawn = []
         entries = verify._entries
 
@@ -274,7 +310,7 @@ class TestRunner:
         monkeypatch.setattr(verify, "_entries", counting_corpus)
         monkeypatch.setattr(verify, "_fold", watched_fold)
         monkeypatch.setenv("PATHDOM_WORKERS", "2")
-        par = run_verification(spec, suites).to_json(include_volatile=False)
+        par = stable_json(run_verification(spec, suites))
         assert folded_after[0] <= window
         assert len(drawn) == len(folded_after) == 76
         assert par == seq
@@ -301,7 +337,7 @@ class TestRunner:
         p.write_text("".join(emit_graph6(g) + "\n" for _, g in iter_corpus(CorpusSpec.exhaustive(4))))
         spec = CorpusSpec.from_file(str(p))
         suites = ["chains", "vertex-deletion"]
-        seq = run_verification(spec, suites).to_json(include_volatile=False)
+        seq = stable_json(run_verification(spec, suites))
         parsed, folded_after = [], []
         parse, fold = formats.parse_graph6, verify._fold
 
@@ -317,7 +353,7 @@ class TestRunner:
         monkeypatch.setattr(verify, "POOL_WINDOW", window)
         monkeypatch.setattr(verify, "_fold", watched_fold)
         monkeypatch.setenv("PATHDOM_WORKERS", workers)
-        report = run_verification(spec, suites).to_json(include_volatile=False)
+        report = stable_json(run_verification(spec, suites))
         assert folded_after[0] <= bound
         assert len(parsed) == len(folded_after) == 76
         assert report == seq
@@ -337,7 +373,7 @@ class TestRunner:
     def test_workers_are_capped_at_the_core_count(self, monkeypatch, cores, pools):
         spec = CorpusSpec.exhaustive(3)
         suites = ["chains", "vertex-deletion"]
-        seq = run_verification(spec, suites).to_json(include_volatile=False)
+        seq = stable_json(run_verification(spec, suites))
         asked = []
 
         class InProcessPool:  # records the request and starts no process
@@ -356,7 +392,7 @@ class TestRunner:
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setenv("PATHDOM_WORKERS", "100000")
-        par = run_verification(spec, suites).to_json(include_volatile=False)
+        par = stable_json(run_verification(spec, suites))
         assert asked == pools and par == seq
 
     def test_negative_counterexample_cap_is_rejected(self):
@@ -405,7 +441,7 @@ DATA = Path(__file__).parent / "data"
       "exhaustive4_connected_max_adjacent_2.json")],
 )
 def test_report_matches_golden_file(spec, suites, golden):
-    report = run_verification(spec, suites).to_json(include_volatile=False)
+    report = stable_json(run_verification(spec, suites))
     assert report.encode("ascii") == (DATA / golden).read_bytes()
 
 
