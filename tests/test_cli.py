@@ -221,9 +221,9 @@ class TestVerify:
         "argv, env, named",
         [(["--n=-1"], "", "--n"),
          (["--n", "3-"], "", "--n"),
-         (["--n", "5-3"], "", "0 <= n_min <= n_max, got n_min=5, n_max=3"),
          (["--n", "4", "--max-counterexamples", "-1"], "", "--max-counterexamples"),
-         (["--n", "2"], "abc", "PATHDOM_WORKERS")],
+         (["--n", "2"], "abc", "PATHDOM_WORKERS"),
+         (["--n", "5-3"], "", "0 <= n_min <= n_max, got n_min=5, n_max=3")],
     )
     def test_malformed_input_names_its_source(self, monkeypatch, capsys, argv, env, named):
         if env:
